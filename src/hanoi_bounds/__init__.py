@@ -17,6 +17,7 @@ from .bounds import (
     gamma3_formula,
     gamma4_formula,
     gamma_conjecture,
+    gamma_formula,
     gamma_upper_general,
     main2_bound,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "gamma3_formula",
     "gamma4_formula",
     "gamma_conjecture",
+    "gamma_formula",
     "gamma_upper_general",
     "is_essential",
     "legal_moves",

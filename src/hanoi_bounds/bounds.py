@@ -27,6 +27,7 @@ __all__ = [
     "gamma3_formula",
     "gamma4_formula",
     "gamma_conjecture",
+    "gamma_formula",
     "gamma_upper_general",
     "main2_bound",
 ]
@@ -52,63 +53,54 @@ def main2_bound(p: int, n: int) -> DyadicRational:
     return DyadicRational(d.m + d.t, d.m - 2 * (p - 2))
 
 
-def gamma3_formula(n: int) -> int:
-    """Gamma(3, n): n for n <= 1, otherwise 1 + 2**(n-2) (Szegedy)."""
+def gamma_formula(p: int, n: int) -> tuple[int, Literal["exact", "conjectured"]]:
+    """Gamma(p, n) from the closed formula, with its status: n for
+    n <= p - 2, otherwise p - 1 + (Phi(p, n) - (2(p-2) + 1)) / 4.
+
+    Proven for p = 3 (Szegedy: 1 + 2**(n-2)) and p = 4 (3 + (Phi(4, n) - 5)
+    / 4), so "exact" there; for p >= 5 it is the paper's conjecture.  For
+    n >= p - 1 the same value is a proven upper bound for every p.
+    """
+    if p < 3:
+        raise ValueError(f"peg count must be at least 3, got {p}")
     if n < 0:
         raise ValueError(f"disk count must be nonnegative, got {n}")
-    if n <= 1:
-        return n
-    return 1 + (1 << (n - 2))
+    status = "exact" if p <= 4 else "conjectured"
+    if n <= p - 2:
+        return n, status
+    # closed forms for 3 and 4 pegs: the spectrum sum costs O(n) terms at p = 3
+    if p == 3:
+        phi = (1 << n) - 1
+    elif p == 4:
+        phi = phi4_closed(n)
+    else:
+        phi = phi_spectrum(p, n)
+    quotient, remainder = divmod(phi - (2 * (p - 2) + 1), 4)
+    if remainder:
+        raise AssertionError(f"Phi({p}, {n}) - {2 * (p - 2) + 1} is not divisible by 4")
+    return p - 1 + quotient, status
+
+
+def gamma3_formula(n: int) -> int:
+    """Gamma(3, n): n for n <= 1, otherwise 1 + 2**(n-2) (Szegedy)."""
+    return gamma_formula(3, n)[0]
 
 
 def gamma4_formula(n: int) -> int:
     """Gamma(4, n): n for n <= 2, otherwise 3 + (Phi(4, n) - 5) / 4."""
-    if n < 0:
-        raise ValueError(f"disk count must be nonnegative, got {n}")
-    if n <= 2:
-        return n
-    quotient, remainder = divmod(phi4_closed(n) - 5, 4)
-    if remainder:
-        raise AssertionError(f"Phi(4, {n}) - 5 is not divisible by 4")
-    return 3 + quotient
+    return gamma_formula(4, n)[0]
 
 
 def gamma_conjecture(p: int, n: int) -> int:
-    """Conjectured Gamma(p, n): n for n <= p - 2, otherwise
-    p - 1 + (Phi(p, n) - (2(p-2) + 1)) / 4.
-
-    Matches gamma3_formula and gamma4_formula exactly; values for p >= 5
-    carry no proof and are flagged as conjectured in bound reports.
-    """
-    if p < 3:
-        raise ValueError(f"peg count must be at least 3, got {p}")
-    if n < 0:
-        raise ValueError(f"disk count must be nonnegative, got {n}")
-    if n <= p - 2:
-        return n
-    quotient, remainder = divmod(phi_spectrum(p, n) - (2 * (p - 2) + 1), 4)
-    if remainder:
-        raise AssertionError(f"Phi({p}, {n}) - {2 * (p - 2) + 1} is not divisible by 4")
-    return p - 1 + quotient
+    """Conjectured Gamma(p, n); equal to the proven formulas for p <= 4."""
+    return gamma_formula(p, n)[0]
 
 
-def gamma_upper_general(p: int, n: int) -> int | DyadicRational:
-    """Upper bound on Gamma(p, n) for n >= p - 1:
-    p - 1 + (Phi(p, n) - (2(p-2) + 1)) / 4.
-
-    For n >= p - 1 the spectrum sum makes the numerator divisible by 4
-    (it is 1 + 2(p-2) plus a multiple of 4), so the result is an integer;
-    were it ever fractional it would be returned exactly as a dyadic.
-    """
-    if p < 3:
-        raise ValueError(f"peg count must be at least 3, got {p}")
+def gamma_upper_general(p: int, n: int) -> int:
+    """Upper bound on Gamma(p, n) for n >= p - 1: the gamma_formula value."""
     if n < p - 1:
         raise ValueError(f"defined for at least {p - 1} disks, got {n}")
-    numerator = phi_spectrum(p, n) - (2 * (p - 2) + 1)
-    quotient, remainder = divmod(numerator, 4)
-    if remainder == 0:
-        return p - 1 + quotient
-    return DyadicRational(4 * (p - 1) + numerator, -2)
+    return gamma_formula(p, n)[0]
 
 
 def dp_lower_bounds(p: int, n_max: int) -> list[int]:
@@ -204,16 +196,8 @@ def build_report(p: int, n: int) -> BoundReport:
         raise ValueError(f"peg count must be at least 3, got {p}")
     if n < 1:
         raise ValueError(f"disk count must be at least 1, got {n}")
-    if p == 3:
-        gamma_value, status = gamma3_formula(n), "exact"
-    elif p == 4:
-        gamma_value, status = gamma4_formula(n), "exact"
-    else:
-        gamma_value, status = gamma_conjecture(p, n), "conjectured"
-    upper = None
-    if n >= p - 1:
-        raw = gamma_upper_general(p, n)
-        upper = raw if isinstance(raw, DyadicRational) else DyadicRational.from_int(raw)
+    gamma_value, status = gamma_formula(p, n)
+    upper = DyadicRational.from_int(gamma_value) if n >= p - 1 else None
     return BoundReport(
         p=p,
         N=n,

@@ -7,55 +7,25 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
-import random
 import sys
 
 from . import bounds as bounds_mod
 from . import constructions, state_space
 from .cache import ResultCache
-from .core import Configuration, path_to_json_dict, path_to_text
+from .core import Configuration, is_essential, path_to_json_dict, path_to_text
 from .frame_stewart import phi4_closed, phi_recursive, phi_spectrum
-from .numerics import decompose, delta
-from .potential import NotApplicableError, check_removal_bound, check_union_bound, psi
-from .state_space import CapExceededError, exact_H, exact_gamma
+from .numerics import decompose
+from .potential import NotApplicableError, psi
+from .state_space import CapExceededError
+from .verify import SUITES, cached
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
-
-_SUITES = (
-    "phi",
-    "szegedy",
-    "main1",
-    "bousch-h4",
-    "conjecture5",
-    "lemmas",
-    "bounds-sandwich",
-)
-
-_SEED = 20260811
-
-
-# ---------------------------------------------------------------------------
-# cached search wrappers
-
-
-def _cached_H(p: int, n: int, cache: ResultCache, cap: int | None = None) -> int:
-    value = cache.get("H", p, n)
-    if value is None:
-        value = exact_H(p, n, cap=cap)
-        cache.put("H", p, n, value)
-    return value
-
-
-def _cached_gamma(p: int, n: int, cache: ResultCache, cap: int | None = None) -> int:
-    value = cache.get("gamma", p, n)
-    if value is None:
-        value = exact_gamma(p, n, cap=cap)
-        cache.put("gamma", p, n, value)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -91,19 +61,15 @@ def cmd_phi(args: argparse.Namespace) -> int:
 
 def cmd_gamma(args: argparse.Namespace) -> int:
     p, n = args.pegs, args.disks
-    if p == 3:
-        formula, status = bounds_mod.gamma3_formula(n), "exact"
-    elif p == 4:
-        formula, status = bounds_mod.gamma4_formula(n), "exact"
-    else:
-        formula, status = bounds_mod.gamma_conjecture(p, n), "conjectured"
+    formula, status = bounds_mod.gamma_formula(p, n)
     marker = "" if status == "exact" else " (conjectured)"
     if not args.exact:
         print(f"{formula}{marker}")
         return EXIT_OK
     cache = ResultCache(enabled=not args.no_cache)
     try:
-        measured = _cached_gamma(p, n, cache, cap=args.product_cap)
+        search = functools.partial(state_space.exact_gamma, cap=args.product_cap)
+        measured = cached("gamma", search, p, n, cache)
     finally:
         cache.save()
     print(f"formula {formula}{marker}")
@@ -191,343 +157,30 @@ def cmd_construct(args: argparse.Namespace) -> int:
         final = path.replay()
         print(
             f"verified: legal, length {path.length}, "
-            f"essential {state_space.is_essential(path)}, final {final.to_text()}",
+            f"essential {is_essential(path)}, final {final.to_text()}",
             file=sys.stderr,
         )
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _case(name: str, ok: bool, detail: str = "") -> dict:
-    return {"case": name, "status": "PASS" if ok else "FAIL", "detail": detail}
-
-
-def _skip(name: str, detail: str) -> dict:
-    return {"case": name, "status": "SKIP", "detail": detail}
-
-
-def _finding(name: str, detail: str) -> dict:
-    return {"case": name, "status": "FINDING", "detail": detail}
-
-
-def _suite_phi(max_disks: int | None) -> list[dict]:
-    rec_limit = max_disks if max_disks is not None else 300
-    closed_limit = max_disks if max_disks is not None else 2000
-    cases = []
-    for p in range(3, 11):
-        bad = [
-            n
-            for n in range(rec_limit + 1)
-            if phi_recursive(p, n) != phi_spectrum(p, n)
-        ]
-        cases.append(
-            _case(
-                f"phi recursive=spectrum p={p} N<={rec_limit}",
-                not bad,
-                f"first mismatch at N={bad[0]}" if bad else "",
-            )
-        )
-    bad = [
-        n for n in range(1, closed_limit + 1) if phi_spectrum(4, n) != phi4_closed(n)
-    ]
-    cases.append(
-        _case(
-            f"phi spectrum=closed p=4 N<={closed_limit}",
-            not bad,
-            f"first mismatch at N={bad[0]}" if bad else "",
-        )
-    )
-    return cases
-
-
-def _formula_vs_search_suite(
-    p: int,
-    n_max: int,
-    formula,
-    kind_label: str,
-    cache: ResultCache,
-    n_min: int = 0,
-) -> list[dict]:
-    cases = []
-    for n in range(n_min, n_max + 1):
-        name = f"{kind_label}({p},{n})"
-        try:
-            measured = _cached_gamma(p, n, cache)
-        except CapExceededError as exc:
-            cases.append(_skip(name, str(exc)))
-            continue
-        wanted = formula(n)
-        cases.append(_case(name, measured == wanted, f"search={measured} formula={wanted}"))
-    return cases
-
-
-def _suite_szegedy(max_disks: int | None, cache: ResultCache) -> list[dict]:
-    limit = max_disks if max_disks is not None else 9
-    return _formula_vs_search_suite(3, limit, bounds_mod.gamma3_formula, "gamma", cache)
-
-
-def _suite_main1(max_disks: int | None, cache: ResultCache) -> list[dict]:
-    limit = max_disks if max_disks is not None else 7
-    cases = _formula_vs_search_suite(4, limit, bounds_mod.gamma4_formula, "gamma", cache)
-    for n in range(3, limit + 1):
-        name = f"construction({n})"
-        path = constructions.main1_essential_path(n)
-        ok = path.length == bounds_mod.gamma4_formula(n) and state_space.is_essential(path)
-        cases.append(_case(name, ok, f"length={path.length}"))
-    return cases
-
-
-def _suite_bousch_h4(max_disks: int | None, cache: ResultCache) -> list[dict]:
-    limit = max_disks if max_disks is not None else 10
-    cases = []
-    for n in range(1, limit + 1):
-        name = f"H(4,{n})"
-        try:
-            measured = _cached_H(4, n, cache)
-        except CapExceededError as exc:
-            cases.append(_skip(name, str(exc)))
-            continue
-        wanted = phi4_closed(n)
-        cases.append(_case(name, measured == wanted, f"search={measured} formula={wanted}"))
-    return cases
-
-
-def _suite_conjecture5(max_disks: int | None, cache: ResultCache) -> list[dict]:
-    limit = max_disks if max_disks is not None else 5
-    cases = []
-    for n in range(limit + 1):
-        base = f"gamma(5,{n})"
-        try:
-            measured = _cached_gamma(5, n, cache)
-        except CapExceededError as exc:
-            cases.append(_skip(base, str(exc)))
-            continue
-        conjectured = bounds_mod.gamma_conjecture(5, n)
-        if measured == conjectured:
-            cases.append(_case(f"{base} vs conjecture", True, f"both {measured}"))
-        else:
-            cases.append(
-                _finding(
-                    f"{base} vs conjecture",
-                    f"search={measured} conjectured={conjectured}",
-                )
-            )
-        cases.append(_case(f"{base} >= N", measured >= n, f"search={measured}"))
-        if n <= 3:
-            cases.append(_case(f"{base} == N (tiny)", measured == n, f"search={measured}"))
-        if n >= 1:
-            lower = bounds_mod.main2_bound(5, n)
-            dp = bounds_mod.dp_lower_bound(5, n)
-            cases.append(
-                _case(
-                    f"{base} >= closed and dp lower bounds",
-                    lower <= measured and dp <= measured,
-                    f"main2={lower} dp={dp} search={measured}",
-                )
-            )
-    return cases
-
-
-def _random_config(rng: random.Random, p: int, n: int, pegs=None) -> Configuration:
-    pool = list(range(p)) if pegs is None else list(pegs)
-    return Configuration(p, tuple(rng.choice(pool) for _ in range(n)))
-
-
-def random_removal_instance(rng: random.Random, top: int = 200) -> tuple[tuple[int, ...], int, int]:
-    """A nonempty set A, a bound s, and a member a with at most s elements
-    of A at or above delta(4, s): always applicable to the removal check."""
-    while True:
-        s = rng.randint(0, 10)
-        cutoff = min(delta(4, s), top)
-        low_pool = range(cutoff)
-        high_pool = range(cutoff, top)
-        members = rng.sample(low_pool, rng.randint(0, len(low_pool)))
-        members += rng.sample(high_pool, min(rng.randint(0, s), len(high_pool)))
-        if members:
-            return tuple(sorted(members)), s, rng.choice(members)
-
-
-def random_bousch_instance(
-    rng: random.Random, max_disks: int
-) -> tuple[Configuration, Configuration, int]:
-    """A random (u, v, a) with peg a plus one other peg empty in v."""
-    n = rng.randint(1, max_disks)
-    u = _random_config(rng, 4, n)
-    a = rng.randrange(4)
-    b = rng.choice([x for x in range(4) if x != a])
-    occupied = [x for x in range(4) if x not in (a, b)]
-    v = _random_config(rng, 4, n, pegs=occupied)
-    return u, v, a
-
-
-def _suite_lemmas(max_disks: int | None, cache: ResultCache) -> list[dict]:
-    del cache  # distance instances here are keyed by configurations, not (p, N)
-    limit = max_disks if max_disks is not None else 6
-    rng = random.Random(_SEED)
-    cases = []
-
-    bad = [n for n in range(2, 201) if 2 * psi(range(n)) != phi4_closed(n + 1) - 1]
-    cases.append(
-        _case(
-            "gathered-set potential identity N<=200",
-            not bad,
-            f"first mismatch at N={bad[0]}" if bad else "",
-        )
-    )
-
-    bad = []
-    for n in range(2, 201):
-        split_min = min(
-            phi_spectrum(4, a) + ((1 << (n - a)) - 1) for a in range(1, n)
-        )
-        if 2 * split_min != phi4_closed(n + 1) - 1:
-            bad.append(n)
-    cases.append(
-        _case(
-            "split-minimum identity N<=200",
-            not bad,
-            f"first mismatch at N={bad[0]}" if bad else "",
-        )
-    )
-
-    removal_failures = 0
-    for _ in range(1000):
-        members, s, a = random_removal_instance(rng)
-        if not check_removal_bound(members, s, a):
-            removal_failures += 1
-    cases.append(
-        _case("removal-bound sweep (1000 instances)", removal_failures == 0, f"failures={removal_failures}")
-    )
-
-    union_failures = 0
-    for _ in range(1000):
-        a_set = tuple(sorted(rng.sample(range(200), rng.randint(0, 60))))
-        b_set = tuple(sorted(rng.sample(range(200), rng.randint(0, 60))))
-        if not check_union_bound(a_set, b_set):
-            union_failures += 1
-    cases.append(
-        _case("union-bound sweep (1000 instances)", union_failures == 0, f"failures={union_failures}")
-    )
-
-    bousch_failures = 0
-    skipped = 0
-    for _ in range(100):
-        u, v, a = random_bousch_instance(rng, limit)
-        try:
-            if not state_space.check_bousch_inequality(u, v, a):
-                bousch_failures += 1
-        except CapExceededError:
-            skipped += 1
-    name = "potential-vs-distance sweep (100 instances)"
-    if skipped:
-        cases.append(_skip(name, f"{skipped} instances over the cap"))
-    else:
-        cases.append(_case(name, bousch_failures == 0, f"failures={bousch_failures}"))
-    return cases
-
-
-def _suite_bounds_sandwich(max_disks: int | None, cache: ResultCache) -> list[dict]:
-    # gamma's product search for p=4 stays under the default cap through N=9
-    h_grid = {3: 9, 4: 10, 5: 5}
-    gamma_grid = {3: 9, 4: 9, 5: 5}
-    if max_disks is not None:
-        h_grid = {p: min(v, max_disks) for p, v in h_grid.items()}
-        gamma_grid = {p: min(v, max_disks) for p, v in gamma_grid.items()}
-    cases = []
-    for p in sorted(h_grid):
-        for n in range(1, h_grid[p] + 1):
-            name = f"sandwich p={p} N={n}"
-            try:
-                h_value = _cached_H(p, n, cache)
-                gamma_value = (
-                    _cached_gamma(p, n, cache) if n <= gamma_grid[p] else None
-                )
-            except CapExceededError as exc:
-                cases.append(_skip(name, str(exc)))
-                continue
-            checks = []
-            checks.append(("chen_shen<=H", bounds_mod.chen_shen_bound(p, n) <= h_value))
-            if gamma_value is not None:
-                checks.append(("gamma<=H", gamma_value <= h_value))
-                checks.append(("N<=gamma", n <= gamma_value))
-                if p >= 4:
-                    main2 = bounds_mod.main2_bound(p, n)
-                    dp = bounds_mod.dp_lower_bound(p, n)
-                    checks.append(("main2<=dp", main2 <= dp))
-                    checks.append(("dp<=gamma", dp <= gamma_value))
-                if n >= p - 1:
-                    upper = bounds_mod.gamma_upper_general(p, n)
-                    checks.append(("gamma<=upper", gamma_value <= upper))
-            failed = [label for label, ok in checks if not ok]
-            cases.append(
-                _case(name, not failed, f"violated: {','.join(failed)}" if failed else f"H={h_value} gamma={gamma_value}")
-            )
-
-    bad = [
-        n
-        for n in range(1, 501)
-        if 2 * (phi4_closed(n + 1) - 1) < phi4_closed(n + 2) - 1
-    ]
-    cases.append(
-        _case(
-            "halving inequality N<=500",
-            not bad,
-            f"first violation at N={bad[0]}" if bad else "",
-        )
-    )
-
-    bad_pairs = []
-    for p in range(5, 8):
-        dp_row = bounds_mod.dp_lower_bounds(p, 300)
-        for n in range(1, 301):
-            if not (bounds_mod.main2_bound(p, n) <= dp_row[n]):
-                bad_pairs.append((p, n))
-    cases.append(
-        _case(
-            "dp dominates the closed lower bound p=5..7 N<=300",
-            not bad_pairs,
-            f"first violation at {bad_pairs[0]}" if bad_pairs else "",
-        )
-    )
-    return cases
-
-
-def _run_suite(args: argparse.Namespace) -> list[dict]:
+def cmd_verify(args: argparse.Namespace) -> int:
     cache = ResultCache(enabled=not args.no_cache)
     try:
-        if args.suite == "phi":
-            return _suite_phi(args.max_disks)
-        if args.suite == "szegedy":
-            return _suite_szegedy(args.max_disks, cache)
-        if args.suite == "main1":
-            return _suite_main1(args.max_disks, cache)
-        if args.suite == "bousch-h4":
-            return _suite_bousch_h4(args.max_disks, cache)
-        if args.suite == "conjecture5":
-            return _suite_conjecture5(args.max_disks, cache)
-        if args.suite == "lemmas":
-            return _suite_lemmas(args.max_disks, cache)
-        return _suite_bounds_sandwich(args.max_disks, cache)
+        cases = SUITES[args.suite](args.max_disks, cache)
     finally:
         cache.save()
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    cases = _run_suite(args)
     counts = {"PASS": 0, "FAIL": 0, "FINDING": 0, "SKIP": 0}
     for case in cases:
-        counts[case["status"]] += 1
+        counts[case.status] += 1
     ok = counts["FAIL"] == 0
     if args.json:
-        print(json.dumps({"suite": args.suite, "ok": ok, "cases": cases, "counts": counts}))
+        json_cases = [case.to_json_dict() for case in cases]
+        print(json.dumps({"suite": args.suite, "ok": ok, "cases": json_cases, "counts": counts}))
     else:
         for case in cases:
-            line = f"{case['status']} {case['case']}"
-            if case["detail"]:
-                line += f" | {case['detail']}"
+            line = f"{case.status} {case.name}"
+            if case.detail:
+                line += f" | {case.detail}"
             print(line)
         print(
             f"suite={args.suite} total={len(cases)} pass={counts['PASS']} "
@@ -599,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     cons.set_defaults(func=cmd_construct)
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("--suite", choices=_SUITES, required=True)
+    verify.add_argument("--suite", choices=list(SUITES), required=True)
     verify.add_argument("--max-disks", type=int, default=None)
     verify.add_argument("--no-cache", action="store_true")
     verify.add_argument("--json", action="store_true")
@@ -608,11 +261,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int/str digit limit (Phi(4, 10**9) has 13,467 digits)
+    and restore it on exit, since callers of main() may keep running in
+    this interpreter.  Interpreters before 3.10.7 have no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _unlimited_int_digits():
+            return args.func(args)
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

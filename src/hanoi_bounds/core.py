@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
-    "MAX_DISKS",
-    "MAX_PEGS",
     "MIN_PEGS",
     "Configuration",
     "IllegalMoveError",
@@ -27,8 +25,6 @@ __all__ = [
 ]
 
 MIN_PEGS = 3
-MAX_PEGS = 8
-MAX_DISKS = 30
 
 
 class IllegalMoveError(ValueError):
@@ -48,10 +44,8 @@ class Configuration:
     pegs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not MIN_PEGS <= self.p <= MAX_PEGS:
-            raise ValueError(f"peg count must be in [{MIN_PEGS}, {MAX_PEGS}], got {self.p}")
-        if len(self.pegs) > MAX_DISKS:
-            raise ValueError(f"at most {MAX_DISKS} disks supported, got {len(self.pegs)}")
+        if self.p < MIN_PEGS:
+            raise ValueError(f"peg count must be at least {MIN_PEGS}, got {self.p}")
         for disk, peg in enumerate(self.pegs):
             if not 0 <= peg < self.p:
                 raise ValueError(f"disk {disk} placed on peg {peg}, outside [0, {self.p})")
@@ -215,9 +209,6 @@ class MovePath:
             target.append(m.disk)
             peg_of[m.disk] = m.dst
         return Configuration(p, tuple(peg_of))
-
-    def validate(self) -> Configuration:
-        return self.replay()
 
     def reversed(self) -> MovePath:
         """The same walk backwards; legal whenever this path is legal."""

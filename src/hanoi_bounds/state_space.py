@@ -9,7 +9,10 @@ whole level before testing for termination.
 
 Caps bound the state counts a search may touch.  Exceeding a cap raises
 CapExceededError, never a silent truncation.  Defaults can be overridden
-per call or through HANOI_STATE_CAP / HANOI_PRODUCT_CAP.
+per call or through HANOI_STATE_CAP / HANOI_PRODUCT_CAP; no cap exceeds
+2**62, so ranks stay inside int64.  Searches also refuse more than
+MAX_PEGS pegs or MAX_DISKS disks with ValueError; those limits belong to
+the search alone, not to configurations or paths.
 """
 
 from __future__ import annotations
@@ -18,47 +21,27 @@ import os
 
 import numpy as np
 
-from .core import (
-    MAX_DISKS,
-    MAX_PEGS,
-    MIN_PEGS,
-    Configuration,
-    IllegalMoveError,
-    Move,
-    MovePath,
-    apply_move,
-    is_essential,
-    legal_moves,
-    path_from_json_dict,
-    path_to_json_dict,
-    path_to_text,
-)
+from .core import MIN_PEGS, Configuration
 from .potential import psi
 
 __all__ = [
     "CapExceededError",
-    "Configuration",
     "DEFAULT_PRODUCT_CAP",
     "DEFAULT_STATE_CAP",
-    "IllegalMoveError",
-    "Move",
-    "MovePath",
+    "MAX_DISKS",
+    "MAX_PEGS",
     "PreconditionError",
-    "apply_move",
     "check_bousch_inequality",
     "distance",
     "exact_H",
     "exact_gamma",
-    "is_essential",
-    "legal_moves",
-    "path_from_json_dict",
-    "path_to_json_dict",
-    "path_to_text",
 ]
 
+MAX_PEGS = 8
+MAX_DISKS = 30
 DEFAULT_STATE_CAP = 1 << 26
 DEFAULT_PRODUCT_CAP = 1 << 28
-_MAX_SUPPORTED_CAP = 1 << 62  # ranks must stay inside int64
+_MAX_SUPPORTED_CAP = 1 << 62
 
 
 class CapExceededError(RuntimeError):
@@ -82,12 +65,18 @@ def _cap_from_env(name: str, default: int) -> int:
     return value
 
 
-def _state_cap(cap: int | None) -> int:
-    return cap if cap is not None else _cap_from_env("HANOI_STATE_CAP", DEFAULT_STATE_CAP)
+def _cap(cap: int | None, env_name: str, default: int) -> int:
+    """The per-call cap, else the environment's, else the default, clamped
+    to 2**62 so larger searches are refused before anything is allocated."""
+    value = cap if cap is not None else _cap_from_env(env_name, default)
+    return min(value, _MAX_SUPPORTED_CAP)
 
 
-def _product_cap(cap: int | None) -> int:
-    return cap if cap is not None else _cap_from_env("HANOI_PRODUCT_CAP", DEFAULT_PRODUCT_CAP)
+def _check_limits(p: int, n: int) -> None:
+    if not MIN_PEGS <= p <= MAX_PEGS:
+        raise ValueError(f"peg count must be in [{MIN_PEGS}, {MAX_PEGS}], got {p}")
+    if not 0 <= n <= MAX_DISKS:
+        raise ValueError(f"disk count must be in [0, {MAX_DISKS}], got {n}")
 
 
 def _powers(p: int, n: int) -> np.ndarray:
@@ -186,11 +175,12 @@ def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
     """
     if (u.p, u.n) != (v.p, v.n):
         raise ValueError("configurations must share peg and disk counts")
+    p, n = u.p, u.n
+    _check_limits(p, n)
     if u.pegs == v.pegs:
         return 0
-    p, n = u.p, u.n
     size = p**n
-    cap_value = _state_cap(cap)
+    cap_value = _cap(cap, "HANOI_STATE_CAP", DEFAULT_STATE_CAP)
     if size > cap_value:
         raise CapExceededError(f"distance over {size} states exceeds the cap {cap_value}")
     pow_p = _powers(p, n)
@@ -241,15 +231,12 @@ def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
     is the first level containing a full mask.  Masks only grow along
     edges, so plain BFS is level-exact.
     """
-    if not MIN_PEGS <= p <= MAX_PEGS:
-        raise ValueError(f"peg count must be in [{MIN_PEGS}, {MAX_PEGS}], got {p}")
-    if not 0 <= n <= MAX_DISKS:
-        raise ValueError(f"disk count must be in [0, {MAX_DISKS}], got {n}")
+    _check_limits(p, n)
     if n == 0:
         return 0
     size = p**n
     product = size << n
-    cap_value = _product_cap(cap)
+    cap_value = _cap(cap, "HANOI_PRODUCT_CAP", DEFAULT_PRODUCT_CAP)
     if product > cap_value:
         raise CapExceededError(
             f"essential-path search over {product} product states exceeds the cap {cap_value}"

@@ -1,117 +1,90 @@
 """Acceptance suite: every exit criterion, each printing a pass/fail line.
 
-All comparisons are exact (tolerance zero).  Search results are shared
-through module-scoped fixtures so each (p, N) instance is computed once.
+Criteria run through the same verification suites as ``hanoi-bounds
+verify`` (``hanoi_bounds.verify.SUITES``) at their default grids.  All
+comparisons are exact (tolerance zero).  One module-scoped result cache
+shares search results between criteria, so each (p, N) search runs once.
 """
-
-import random
 
 import pytest
 
-from hanoi_bounds.bounds import (
-    chen_shen_bound,
-    dp_lower_bound,
-    dp_lower_bounds,
-    gamma3_formula,
-    gamma4_formula,
-    gamma_conjecture,
-    gamma_upper_general,
-    main2_bound,
-)
-from hanoi_bounds.cli import random_bousch_instance, random_removal_instance
+from hanoi_bounds.bounds import gamma4_formula
+from hanoi_bounds.cache import ResultCache
 from hanoi_bounds.constructions import (
     main1_essential_path,
     midpoint_path,
     two1_tight_pair,
 )
-from hanoi_bounds.frame_stewart import phi4_closed, phi_recursive, phi_spectrum
-from hanoi_bounds.potential import check_removal_bound, check_union_bound, psi
-from hanoi_bounds.state_space import (
-    check_bousch_inequality,
-    distance,
-    exact_H,
-    exact_gamma,
-    is_essential,
-)
+from hanoi_bounds.core import is_essential
+from hanoi_bounds.frame_stewart import phi4_closed
+from hanoi_bounds.state_space import distance, exact_gamma
+from hanoi_bounds.verify import SUITES, cached
 
-# H search spans full configuration spaces; the gamma product search for
-# p=4 stays feasible (within the default cap) through N=9 but not N=10.
-H_GRID = {3: 9, 4: 10, 5: 5}
-GAMMA_GRID = {3: 9, 4: 9, 5: 5}
+
+@pytest.fixture(scope="module")
+def cache(tmp_path_factory):
+    return ResultCache(directory=tmp_path_factory.mktemp("results"))
+
+
+def run_suite(suite, cache):
+    """The suite's cases by name, after asserting none failed or skipped."""
+    cases = SUITES[suite](None, cache)
+    bad = [case for case in cases if case.status in ("FAIL", "SKIP")]
+    assert not bad, bad
+    return {case.name: case for case in cases}
 
 
 def report(criterion: int, summary: str) -> None:
     print(f"[acceptance] criterion {criterion}: PASS ({summary})")
 
 
-@pytest.fixture(scope="module")
-def h_values():
-    return {(p, n): exact_H(p, n) for p, top in H_GRID.items() for n in range(1, top + 1)}
-
-
-@pytest.fixture(scope="module")
-def gamma_values():
-    return {
-        (p, n): exact_gamma(p, n) for p, top in GAMMA_GRID.items() for n in range(top + 1)
-    }
-
-
-def test_criterion_1_exact_h4_matches_phi4(h_values):
-    for n in range(1, 11):
-        assert h_values[4, n] == phi4_closed(n), f"H(4,{n})"
+def test_criterion_1_exact_h4_matches_phi4(cache):
+    cases = run_suite("bousch-h4", cache)
+    assert list(cases) == [f"H(4,{n})" for n in range(1, 11)]
     report(1, "exact H(4,N) equals the 4-peg transfer count for N <= 10")
 
 
-def test_criterion_2_three_peg_essential_lengths(gamma_values):
-    for n in range(10):
-        assert gamma_values[3, n] == gamma3_formula(n), f"gamma(3,{n})"
+def test_criterion_2_three_peg_essential_lengths(cache):
+    cases = run_suite("szegedy", cache)
+    assert list(cases) == [f"gamma(3,{n})" for n in range(10)]
     report(2, "exact gamma(3,N) equals 1 + 2**(N-2) (N for N <= 1) for N <= 9")
 
 
-def test_criterion_3_four_peg_essential_lengths(gamma_values):
-    for n in range(8):
-        assert gamma_values[4, n] == gamma4_formula(n), f"gamma(4,{n})"
-    assert gamma_values[4, 3] == 3
-    assert gamma_values[4, 7] == 8
+def test_criterion_3_four_peg_essential_lengths(cache):
+    cases = run_suite("main1", cache)
+    assert list(cases)[:8] == [f"gamma(4,{n})" for n in range(8)]
+    assert cases["gamma(4,3)"].detail == "search=3 formula=3"
+    assert cases["gamma(4,7)"].detail == "search=8 formula=8"
     report(3, "exact gamma(4,N) equals 3 + (Phi(4,N) - 5)/4 for N <= 7")
 
 
-def test_criterion_4_five_peg_probe(gamma_values):
-    findings = []
-    for n in range(6):
-        measured = gamma_values[5, n]
-        conjectured = gamma_conjecture(5, n)
-        if measured != conjectured:
-            findings.append(f"gamma(5,{n}): search={measured} conjectured={conjectured}")
-        # hard requirements
-        assert measured >= n
-        if n <= 3:
-            assert measured == n
-        if n >= 1:
-            assert main2_bound(5, n) <= measured
-            assert dp_lower_bound(5, n) <= measured
+def test_criterion_4_five_peg_probe(cache):
+    cases = run_suite("conjecture5", cache)
+    # N <= 5: each N against the conjecture and N, tiny N equal to N, and
+    # every N >= 1 above the closed and dp lower bounds
+    assert len(cases) == 6 + 6 + 4 + 5
+    findings = [case for case in cases.values() if case.status == "FINDING"]
     for finding in findings:
-        print(f"[acceptance] criterion 4 FINDING: {finding}")
+        print(f"[acceptance] criterion 4 FINDING: {finding.name}: {finding.detail}")
     report(4, f"five-peg probe, {len(findings)} conjecture findings, hard checks hold")
 
 
-def test_criterion_5_phi_triple_agreement():
-    for p in range(3, 11):
-        for n in range(301):
-            assert phi_recursive(p, n) == phi_spectrum(p, n), (p, n)
-    for n in range(1, 2001):
-        assert phi_spectrum(4, n) == phi4_closed(n), n
+def test_criterion_5_phi_triple_agreement(cache):
+    cases = run_suite("phi", cache)
+    assert list(cases) == [f"phi recursive=spectrum p={p} N<=300" for p in range(3, 11)] + [
+        "phi spectrum=closed p=4 N<=2000"
+    ]
     report(5, "recursion = spectrum (p <= 10, N <= 300); spectrum = closed form (p=4, N <= 2000)")
 
 
-def test_criterion_6_construction_exactness(gamma_values):
+def test_criterion_6_construction_exactness(cache):
     for n in range(3, 21):
         path = main1_essential_path(n)
         path.replay()
         assert is_essential(path)
         assert path.length == gamma4_formula(n), f"main1({n})"
     for n in range(3, 8):
-        assert main1_essential_path(n).length == gamma_values[4, n]
+        assert main1_essential_path(n).length == cached("gamma", exact_gamma, 4, n, cache)
     for n in range(2, 7):
         u, v, path = two1_tight_pair(n)
         assert distance(u, v) == path.length == 1 + (phi4_closed(n + 2) - 5) // 4
@@ -120,43 +93,17 @@ def test_criterion_6_construction_exactness(gamma_values):
     report(6, "constructed paths replay legally at their exact optimal lengths")
 
 
-def test_criterion_7_potential_suite():
-    for n in range(2, 201):
-        assert 2 * psi(range(n)) == phi4_closed(n + 1) - 1, n
-        best_split_cost = min(
-            phi_spectrum(4, a) + ((1 << (n - a)) - 1) for a in range(1, n)
-        )
-        assert 2 * best_split_cost == phi4_closed(n + 1) - 1, n
-    rng = random.Random(7001)
-    for _ in range(1000):
-        members, s, a = random_removal_instance(rng)
-        assert check_removal_bound(members, s, a)
-    for _ in range(1000):
-        a_set = tuple(sorted(rng.sample(range(200), rng.randint(0, 60))))
-        b_set = tuple(sorted(rng.sample(range(200), rng.randint(0, 60))))
-        assert check_union_bound(a_set, b_set)
-    for _ in range(100):
-        u, v, a = random_bousch_instance(rng, 6)
-        assert check_bousch_inequality(u, v, a)
+def test_criterion_7_potential_suite(cache):
+    cases = run_suite("lemmas", cache)
+    assert len(cases) == 5
     report(7, "potential identities, removal/union sweeps, and 100 distance checks hold")
 
 
-def test_criterion_8_bounds_sandwich(h_values, gamma_values):
-    for p, top in H_GRID.items():
-        for n in range(1, top + 1):
-            h = h_values[p, n]
-            assert chen_shen_bound(p, n) <= h, (p, n)
-            if n <= GAMMA_GRID[p]:
-                gamma = gamma_values[p, n]
-                assert gamma <= h, (p, n)
-                if p >= 4:
-                    assert main2_bound(p, n) <= dp_lower_bound(p, n) <= gamma, (p, n)
-                if n >= p - 1:
-                    assert gamma <= gamma_upper_general(p, n), (p, n)
-    for n in range(1, 501):
-        assert 2 * phi4_closed(n + 1) - 2 >= phi4_closed(n + 2) - 1, n
-    for p in range(5, 8):
-        row = dp_lower_bounds(p, 300)
-        for n in range(1, 301):
-            assert main2_bound(p, n) <= row[n], (p, n)
+def test_criterion_8_bounds_sandwich(cache):
+    cases = run_suite("bounds-sandwich", cache)
+    # H at p = 3, 4, 5 for N <= 9, 10, 5; Gamma at each of them but (4, 10)
+    sandwiches = [case.detail for name, case in cases.items() if name.startswith("sandwich")]
+    assert len(sandwiches) == 9 + 10 + 5
+    assert sum(detail.endswith("gamma=None") for detail in sandwiches) == 1
+    assert len(cases) == len(sandwiches) + 2
     report(8, "lower bounds sit under search values, which sit under upper bounds")

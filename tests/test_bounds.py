@@ -11,6 +11,7 @@ from hanoi_bounds.bounds import (
     gamma3_formula,
     gamma4_formula,
     gamma_conjecture,
+    gamma_formula,
     gamma_upper_general,
     main2_bound,
 )
@@ -74,6 +75,33 @@ def test_gamma_conjecture_specializes_to_proven_formulas():
     for n in range(0, 300):
         assert gamma_conjecture(3, n) == gamma3_formula(n)
         assert gamma_conjecture(4, n) == gamma4_formula(n)
+
+
+def test_gamma_formula_matches_the_proven_spellings():
+    # oracles written independently of gamma_formula: Szegedy's 3-peg value
+    # and Main-1's 4-peg value over the spectrum sum
+    for n in range(300):
+        szegedy = n if n <= 1 else 1 + 2 ** (n - 2)
+        main1 = n if n <= 2 else 3 + (phi_spectrum(4, n) - 5) // 4
+        assert gamma_formula(3, n) == (szegedy, "exact")
+        assert gamma_formula(4, n) == (main1, "exact")
+        assert gamma3_formula(n) == szegedy
+        assert gamma4_formula(n) == main1
+
+
+@pytest.mark.parametrize(
+    "p, n, expected",
+    [(4, 7, (8, "exact")), (3, 5, (9, "exact")), (5, 4, (4, "conjectured")), (8, 1, (1, "conjectured"))],
+)
+def test_gamma_formula_values_and_status(p, n, expected):
+    assert gamma_formula(p, n) == expected
+
+
+def test_gamma_formula_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        gamma_formula(2, 3)
+    with pytest.raises(ValueError):
+        gamma_formula(4, -1)
 
 
 @pytest.mark.parametrize("p, n, expected", [(5, 3, 3), (6, 4, 4), (5, 5, 5)])

@@ -1,10 +1,12 @@
 import json
+import sys
 
 import pytest
 
 from hanoi_bounds import cli
 from hanoi_bounds.cache import ResultCache
 from hanoi_bounds.core import path_from_json_dict
+from hanoi_bounds.frame_stewart import phi_spectrum
 
 
 @pytest.fixture()
@@ -31,6 +33,21 @@ def test_phi_all_methods_agree(capsys):
     lines = out.strip().splitlines()
     assert lines[:3] == ["recursive 49", "spectrum 49", "closed 49"]
     assert lines[-1] == "agreement ok"
+
+
+def test_phi_prints_past_the_int_digit_limit(capsys):
+    # Phi(4, 2e8) has about 6,000 digits, past Python's default limit of
+    # 4,300; main() lifts the limit only while the command runs
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "phi", "--pegs", "4", "--disks", "200000000")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert len(out.strip()) > 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out.strip() == str(phi_spectrum(4, 200_000_000))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_phi_closed_needs_four_pegs(capsys):
@@ -131,6 +148,12 @@ def test_distance_cap_exit_code(capsys):
     )
     assert code == 3
     assert "cap" in err.lower()
+
+
+def test_distance_past_the_search_limit_is_usage_error(capsys):
+    code, _, err = run(capsys, "distance", "--pegs", "9", "--start", "0", "--end", "8")
+    assert code == 2
+    assert "peg count" in err
 
 
 def test_construct_main1_move_lines(capsys):

@@ -6,8 +6,9 @@ from hanoi_bounds.constructions import (
     midpoint_path,
     two1_tight_pair,
 )
+from hanoi_bounds.core import is_essential
 from hanoi_bounds.frame_stewart import phi4_closed
-from hanoi_bounds.state_space import distance, exact_gamma, is_essential
+from hanoi_bounds.state_space import distance, exact_gamma
 
 
 def test_midpoint_single_disk():
@@ -89,6 +90,13 @@ def test_main1_matches_formula_up_to_twenty():
 def test_main1_twenty_disk_length():
     # phi4_closed(20) = 289, so the length is 3 + (289 - 5) / 4
     assert main1_essential_path(20).length == 74
+
+
+def test_main1_past_the_search_limit():
+    path = main1_essential_path(60)
+    path.replay()
+    assert path.length == gamma4_formula(60)
+    assert is_essential(path)
 
 
 def test_main1_matches_search_at_small_sizes():

@@ -106,6 +106,13 @@ def test_frame_stewart_path_realizable_up_to_fifteen_disks(q):
             assert is_essential(path)
 
 
+def test_frame_stewart_path_past_the_search_limit():
+    # configurations carry no search limit, so long paths replay
+    path = frame_stewart_path(40, range(4), 0, 3)
+    assert path.length == phi4_closed(40)
+    assert path.replay() == Configuration.all_on(4, 40, 3)
+
+
 def test_frame_stewart_path_rejects_bad_pegs():
     with pytest.raises(ValueError):
         frame_stewart_path(2, (0, 1), 0, 1)

@@ -121,7 +121,7 @@ def test_check_removal_bound_not_applicable():
 
 
 def test_check_removal_bound_random_applicable_instances():
-    from hanoi_bounds.cli import random_removal_instance
+    from hanoi_bounds.verify import random_removal_instance
 
     rng = random.Random(101)
     for _ in range(1000):

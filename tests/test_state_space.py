@@ -2,19 +2,24 @@ import random
 
 import pytest
 
-from hanoi_bounds.core import Configuration, IllegalMoveError, Move, MovePath
+from hanoi_bounds.core import (
+    Configuration,
+    IllegalMoveError,
+    Move,
+    MovePath,
+    apply_move,
+    is_essential,
+    legal_moves,
+)
 from hanoi_bounds.frame_stewart import frame_stewart_path, phi4_closed
 from hanoi_bounds.potential import psi
 from hanoi_bounds.state_space import (
     CapExceededError,
     PreconditionError,
-    apply_move,
     check_bousch_inequality,
     distance,
     exact_H,
     exact_gamma,
-    is_essential,
-    legal_moves,
 )
 
 
@@ -43,11 +48,16 @@ def test_configuration_validation():
     with pytest.raises(ValueError):
         Configuration(2, ())
     with pytest.raises(ValueError):
-        Configuration(9, ())
-    with pytest.raises(ValueError):
         Configuration(4, (0, 4))
+    # the search limits belong to the search, not to the value type
     with pytest.raises(ValueError):
-        Configuration(4, (0,) * 31)
+        distance(Configuration(9, (0,)), Configuration(9, (1,)))
+    with pytest.raises(ValueError):
+        distance(Configuration(4, (0,) * 31), Configuration(4, (3,) * 31))
+    with pytest.raises(ValueError):
+        distance(Configuration(4, (0,) * 31), Configuration(4, (0,) * 31))
+    with pytest.raises(ValueError):
+        exact_H(9, 2)
 
 
 def test_configuration_text_round_trip():
@@ -273,6 +283,15 @@ def test_exact_gamma_cap():
         exact_gamma(4, 6, cap=100)
 
 
+def test_caps_above_two_to_the_62_are_clamped():
+    # 8**22 states and 8**20 * 2**20 product states do not fit int64 ranks;
+    # the refusal must come before any table is sized or allocated
+    with pytest.raises(CapExceededError):
+        exact_H(8, 22, cap=2**70)
+    with pytest.raises(CapExceededError):
+        exact_gamma(8, 20, cap=2**90)
+
+
 def test_exact_gamma_monotone_in_disks():
     for p in (3, 4):
         values = [exact_gamma(p, n) for n in range(7)]
@@ -354,7 +373,7 @@ def test_bousch_inequality_trivial_cases():
 
 
 def test_bousch_inequality_random_instances():
-    from hanoi_bounds.cli import random_bousch_instance
+    from hanoi_bounds.verify import random_bousch_instance
 
     rng = random.Random(47)
     for _ in range(100):
