@@ -16,7 +16,7 @@ from pathlib import Path
 
 __all__ = ["ENGINE_VERSION", "ResultCache", "default_cache_dir"]
 
-ENGINE_VERSION = 1
+ENGINE_VERSION = 2
 
 
 def default_cache_dir() -> Path:

@@ -7,6 +7,7 @@ rather than rounded.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import total_ordering
 from typing import Any
@@ -27,9 +28,9 @@ class DyadicRational:
         if m == 0:
             e = 0
         else:
-            while m % 2 == 0:
-                m //= 2
-                e += 1
+            zeros = (m & -m).bit_length() - 1
+            m >>= zeros
+            e += zeros
         object.__setattr__(self, "mantissa", m)
         object.__setattr__(self, "exponent", e)
 
@@ -48,13 +49,6 @@ class DyadicRational:
         shift = -self.exponent
         return -((-self.mantissa) >> shift)
 
-    def _pair_against(self, other: DyadicRational) -> tuple[int, int]:
-        e = min(self.exponent, other.exponent)
-        return (
-            self.mantissa << (self.exponent - e),
-            other.mantissa << (other.exponent - e),
-        )
-
     @staticmethod
     def _coerce(other: Any) -> "DyadicRational | None":
         if isinstance(other, DyadicRational):
@@ -67,18 +61,35 @@ class DyadicRational:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self._pair_against(rhs)
-        return a == b
+        return (self.mantissa, self.exponent) == (rhs.mantissa, rhs.exponent)
 
     def __lt__(self, other: Any) -> bool:
+        """Decided by sign, then by magnitude bit length; mantissas are
+        shifted into line only when both tie, so the shift stays within
+        the mantissas' own lengths however far apart the exponents are."""
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self._pair_against(rhs)
-        return a < b
+        a, b = self.mantissa, rhs.mantissa
+        sign_a, sign_b = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sign_a != sign_b or sign_a == 0:
+            return sign_a < sign_b
+        # |x| lies in [2**(k-1), 2**k) for k = bit_length + exponent
+        top_a = abs(a).bit_length() + self.exponent
+        top_b = abs(b).bit_length() + rhs.exponent
+        if top_a != top_b:
+            return (top_a < top_b) == (sign_a > 0)
+        e = min(self.exponent, rhs.exponent)
+        return a << (self.exponent - e) < b << (rhs.exponent - e)
 
     def __hash__(self) -> int:
-        return hash((self.mantissa, self.exponent))
+        """The hash of the int or ``fractions.Fraction`` of equal value,
+        reduced modulo the hash modulus without forming 2**exponent."""
+        modulus = sys.hash_info.modulus
+        value = abs(self.mantissa) % modulus * pow(2, self.exponent, modulus) % modulus
+        if self.mantissa < 0:
+            value = -value
+        return -2 if value == -1 else value
 
     def __str__(self) -> str:
         return f"{self.mantissa}*2^{self.exponent}"

@@ -90,6 +90,16 @@ def test_gamma_exact_cap_exit_code(capsys, monkeypatch, cache_dir):
     assert "cap" in err.lower()
 
 
+def test_gamma_exact_beyond_physical_memory_exit_code(capsys, cache_dir):
+    # a cap of 2**62 allows the 10 TB table; the byte count refuses it
+    code, _, err = run(
+        capsys, "gamma", "--pegs", "5", "--disks", "13", "--exact", "--no-cache",
+        "--product-cap", str(2**62),
+    )
+    assert code == 3
+    assert "physical memory" in err
+
+
 def test_bounds_json_round_trip(capsys):
     code, out, _ = run(capsys, "bounds", "--pegs", "5", "--disks", "121", "--json")
     assert code == 0
@@ -211,10 +221,10 @@ def test_verify_populates_and_reuses_cache(capsys, cache_dir):
     cache_file = cache_dir / "results.json"
     assert cache_file.exists()
     entries = json.loads(cache_file.read_text())["entries"]
-    assert entries["gamma:p4:n4:e1"] == 4
+    assert entries["gamma:p4:n4:e2"] == 4
     # a poisoned cache value is trusted (advisory store, bypassed by --no-cache)
-    entries["gamma:p4:n4:e1"] = 999
-    cache_file.write_text(json.dumps({"engine": 1, "entries": entries}))
+    entries["gamma:p4:n4:e2"] = 999
+    cache_file.write_text(json.dumps({"engine": 2, "entries": entries}))
     code, out, _ = run(capsys, "verify", "--suite", "main1", "--max-disks", "4")
     assert code == 1
     assert "FAIL gamma(4,4)" in out
@@ -229,7 +239,7 @@ def test_result_cache_survives_corrupt_file(tmp_path):
     assert cache.get("H", 4, 4) is None
     cache.put("H", 4, 4, 9)
     cache.save()
-    assert json.loads(target.read_text())["entries"] == {"H:p4:n4:e1": 9}
+    assert json.loads(target.read_text())["entries"] == {"H:p4:n4:e2": 9}
 
 
 def test_verify_conjecture5_suite(capsys, cache_dir):

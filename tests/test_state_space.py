@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hanoi_bounds import state_space
 from hanoi_bounds.core import (
     Configuration,
     IllegalMoveError,
@@ -201,6 +202,26 @@ def test_vectorized_neighbors_match_legal_moves():
         assert sorted(zip(nbrs.tolist(), disks.tolist())) == via_moves
 
 
+def test_adjacency_rows_match_legal_moves():
+    import numpy as np
+
+    from hanoi_bounds.state_space import _adjacency
+
+    rng = random.Random(53)
+    for p, n in ((3, 1), (3, 5), (4, 4), (5, 3), (6, 3), (8, 2)):
+        nbrs, bits = _adjacency(p, n)
+        assert nbrs.shape == bits.shape
+        assert nbrs.shape[1] <= p * (p - 1) // 2
+        for _ in range(15):
+            c = random_config(rng, p, n)
+            row = sorted(zip(nbrs[c.rank()].tolist(), bits[c.rank()].tolist()))
+            moves = sorted((apply_move(c, m).rank(), 1 << m.disk) for m in legal_moves(c))
+            padding = [(c.rank(), 0)] * (nbrs.shape[1] - len(moves))
+            assert row == sorted(moves + padding)
+        # every slot that moves no disk is a padding self-loop, and only those
+        assert np.array_equal(bits == 0, nbrs == np.arange(p**n)[:, None])
+
+
 def test_distance_cap():
     u = Configuration.all_on(4, 8, 0)
     v = Configuration.all_on(4, 8, 3)
@@ -234,7 +255,7 @@ def test_exact_gamma_values(p, n, expected):
     assert exact_gamma(p, n) == expected
 
 
-def test_exact_gamma_agrees_with_pure_python_product_bfs():
+def test_exact_gamma_agrees_with_pure_python_product_bfs(monkeypatch):
     # independent oracle: dictionary BFS over (configuration, moved-mask)
     # pairs, expanded with the pure-Python move rules
     from collections import deque
@@ -261,10 +282,21 @@ def test_exact_gamma_agrees_with_pure_python_product_bfs():
                     queue.append((nxt, key[1], depth + 1))
         raise AssertionError("unreachable")
 
-    for p in (3, 4):
-        for n in range(4):
-            assert exact_gamma(p, n) == plain_gamma(p, n), (p, n)
-    assert exact_gamma(3, 4) == plain_gamma(3, 4) == 5
+    # factor 0 sorts every level and 2**62 scans every level's window, so
+    # both dedupe branches meet the oracle on every size, as does the default
+    cases = [(3, n) for n in range(7)] + [(4, n) for n in range(6)] + [(5, n) for n in range(4)]
+    for p, n in cases:
+        expected = plain_gamma(p, n)
+        for factor in (0, state_space._SCAN_FACTOR, 2**62):
+            monkeypatch.setattr(state_space, "_SCAN_FACTOR", factor)
+            assert exact_gamma(p, n) == expected, (p, n, factor)
+    assert plain_gamma(3, 4) == 5
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_exact_gamma_three_pegs_closed_form(n):
+    # Gamma(3, n) = 2**(n-2) + 1; n = 10 is 257 levels, past any uint8 counter
+    assert exact_gamma(3, n) == 2 ** (n - 2) + 1
 
 
 def test_full_transfer_paths_are_geodesics_at_small_sizes():
@@ -290,6 +322,15 @@ def test_caps_above_two_to_the_62_are_clamped():
         exact_H(8, 22, cap=2**70)
     with pytest.raises(CapExceededError):
         exact_gamma(8, 20, cap=2**90)
+
+
+def test_tables_larger_than_physical_memory_are_refused():
+    # about 10 TB of product table and 4.4 TB of distance tables: legal under
+    # the cap, refused from the byte count before anything is allocated
+    with pytest.raises(CapExceededError, match="physical memory"):
+        exact_gamma(5, 13, cap=2**62)
+    with pytest.raises(CapExceededError, match="physical memory"):
+        distance(Configuration.all_on(8, 13, 0), Configuration.all_on(8, 13, 7), cap=2**62)
 
 
 def test_exact_gamma_monotone_in_disks():
