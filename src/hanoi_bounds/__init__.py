@@ -1,11 +1,11 @@
 """Exact combinatorics, constructions, and a brute-force search oracle for
 multi-peg Tower of Hanoi move bounds.
 
-The package computes Frame-Stewart transfer counts three independent ways,
-evaluates Bousch's potential function exactly, assembles every closed-form
-lower and upper bound it knows into reports, emits explicit optimal move
-sequences, and validates all of it at desk scale against breadth-first
-search over explicit state spaces.
+The package computes Frame-Stewart transfer counts in closed form (with two
+independent routes kept as cross-checks), evaluates Bousch's potential
+function exactly, assembles every closed-form lower and upper bound it knows
+into reports, emits explicit optimal move sequences, and validates all of it
+at desk scale against breadth-first search over explicit state spaces.
 """
 
 from .bounds import (
@@ -36,6 +36,7 @@ from .frame_stewart import (
     best_split,
     frame_stewart_path,
     phi4_closed,
+    phi_closed,
     phi_recursive,
     phi_spectrum,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "midpoint_path",
     "nabla",
     "phi4_closed",
+    "phi_closed",
     "phi_recursive",
     "phi_spectrum",
     "psi",

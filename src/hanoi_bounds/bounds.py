@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .dyadic import DyadicRational
-from .frame_stewart import phi4_closed, phi_spectrum
+from .frame_stewart import phi_closed
 from .numerics import decompose, nabla
 
 __all__ = [
@@ -68,14 +68,7 @@ def gamma_formula(p: int, n: int) -> tuple[int, Literal["exact", "conjectured"]]
     status = "exact" if p <= 4 else "conjectured"
     if n <= p - 2:
         return n, status
-    # closed forms for 3 and 4 pegs: the spectrum sum costs O(n) terms at p = 3
-    if p == 3:
-        phi = (1 << n) - 1
-    elif p == 4:
-        phi = phi4_closed(n)
-    else:
-        phi = phi_spectrum(p, n)
-    quotient, remainder = divmod(phi - (2 * (p - 2) + 1), 4)
+    quotient, remainder = divmod(phi_closed(p, n) - (2 * (p - 2) + 1), 4)
     if remainder:
         raise AssertionError(f"Phi({p}, {n}) - {2 * (p - 2) + 1} is not divisible by 4")
     return p - 1 + quotient, status
@@ -207,6 +200,6 @@ def build_report(p: int, n: int) -> BoundReport:
         dp_lower=dp_lower_bound(p, n) if p >= 4 else None,
         gamma_formula=gamma_value,
         gamma_formula_status=status,
-        phi_upper=phi_spectrum(p, n),
+        phi_upper=phi_closed(p, n),
         gamma_upper_general=upper,
     )

@@ -4,7 +4,8 @@ Deep searches (exact transfer counts and essential-path lengths) can take
 seconds to minutes; verification suites rerun them often.  Values are
 memoized in a JSON file keyed by (kind, pegs, disks, engine version).
 The cache is advisory: a missing, stale, or corrupt file only costs a
-recomputation, and --no-cache bypasses it entirely.
+recomputation, and --no-cache bypasses it entirely.  Saving merges into
+the file, so concurrent runs keep each other's entries.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ import json
 import os
 import tempfile
 from pathlib import Path
+
+try:
+    import fcntl
+except ImportError:  # no advisory file locks on this platform
+    fcntl = None
 
 __all__ = ["ENGINE_VERSION", "ResultCache", "default_cache_dir"]
 
@@ -67,16 +73,25 @@ class ResultCache:
             self._dirty = True
 
     def save(self) -> None:
+        """Re-read the file, overlay this instance's entries on it and
+        replace it atomically, holding an exclusive lock on a sibling
+        ``results.json.lock`` throughout."""
         if not self.enabled or not self._dirty:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
-        payload = {"engine": ENGINE_VERSION, "entries": self._entries}
-        fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=0, sort_keys=True)
-            os.replace(tmp_name, self.path)
-        finally:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
+        with open(self.directory / "results.json.lock", "a") as lock:
+            if fcntl is not None:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+            own = self._entries
+            self._load()
+            self._entries.update(own)
+            payload = {"engine": ENGINE_VERSION, "entries": self._entries}
+            fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    json.dump(payload, handle, indent=0, sort_keys=True)
+                os.replace(tmp_name, self.path)
+            finally:
+                if os.path.exists(tmp_name):
+                    os.unlink(tmp_name)
         self._dirty = False

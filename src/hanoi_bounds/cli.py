@@ -16,7 +16,7 @@ from . import bounds as bounds_mod
 from . import constructions, state_space
 from .cache import ResultCache
 from .core import Configuration, is_essential, path_to_json_dict, path_to_text
-from .frame_stewart import phi4_closed, phi_recursive, phi_spectrum
+from .frame_stewart import phi_closed, phi_recursive, phi_spectrum
 from .numerics import decompose
 from .potential import NotApplicableError, psi
 from .state_space import CapExceededError
@@ -34,28 +34,17 @@ EXIT_CAP = 3
 
 def cmd_phi(args: argparse.Namespace) -> int:
     p, n = args.pegs, args.disks
-    if args.method == "closed" and p != 4:
-        print("the closed form is only defined for 4 pegs", file=sys.stderr)
-        return EXIT_USAGE
-    if args.method == "recursive":
-        print(phi_recursive(p, n))
-    elif args.method == "spectrum":
-        print(phi_spectrum(p, n))
-    elif args.method == "closed":
-        print(phi4_closed(n))
-    else:
-        values = {
-            "recursive": phi_recursive(p, n),
-            "spectrum": phi_spectrum(p, n),
-        }
-        if p == 4 and n >= 1:
-            values["closed"] = phi4_closed(n)
-        for name, value in values.items():
-            print(f"{name} {value}")
-        if len(set(values.values())) != 1:
-            print("method disagreement: the implementations diverge", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
-        print("agreement ok")
+    routes = {"recursive": phi_recursive, "spectrum": phi_spectrum, "closed": phi_closed}
+    if args.method != "all":
+        print(routes[args.method](p, n))
+        return EXIT_OK
+    values = {name: route(p, n) for name, route in routes.items()}
+    for name, value in values.items():
+        print(f"{name} {value}")
+    if len(set(values.values())) != 1:
+        print("method disagreement: the implementations diverge", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+    print("agreement ok")
     return EXIT_OK
 
 
@@ -193,6 +182,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # parser
 
 
+def _disk_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hanoi-bounds",
@@ -206,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     phi.add_argument(
         "--method",
         choices=["recursive", "spectrum", "closed", "all"],
-        default="spectrum",
+        default="closed",
     )
     phi.set_defaults(func=cmd_phi)
 
@@ -253,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", choices=list(SUITES), required=True)
-    verify.add_argument("--max-disks", type=int, default=None)
+    verify.add_argument("--max-disks", type=_disk_count, default=None)
     verify.add_argument("--no-cache", action="store_true")
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify)

@@ -13,12 +13,19 @@ or a length mismatch surfaces immediately as an error.
 
 from __future__ import annotations
 
+from .bounds import gamma_formula
 from .core import Configuration, Move, MovePath, is_essential
-from .frame_stewart import phi4_closed, phi_spectrum, transfer_moves
+from .frame_stewart import phi_closed, transfer_moves
 
 __all__ = ["main1_essential_path", "midpoint_path", "two1_tight_pair"]
 
 _ALL_PEGS = (0, 1, 2, 3)
+
+
+def _cheapest_split(offset: int, count: int) -> int:
+    """The smallest a in [0, count) minimizing
+    Phi(4, a + offset) + Phi(3, count - a)."""
+    return min(range(count), key=lambda a: phi_closed(4, a + offset) + phi_closed(3, count - a))
 
 
 def midpoint_path(
@@ -36,18 +43,12 @@ def midpoint_path(
     pegs = (src, targets[0], targets[1], spare)
     if sorted(pegs) != [0, 1, 2, 3]:
         raise ValueError(f"pegs must be 0..3, all distinct, got src={src} targets={targets} spare={spare}")
-    best_a = None
-    best_cost = None
-    for a in range(n):
-        cost = phi_spectrum(4, a) + ((1 << (n - a)) - 1)
-        if best_cost is None or cost < best_cost:
-            best_a, best_cost = a, cost
-    a = best_a
+    a = _cheapest_split(0, n)
     moves = transfer_moves(0, a, _ALL_PEGS, src, targets[0])
     moves += transfer_moves(a, n - a, tuple(sorted((src, spare, targets[1]))), src, targets[1])
     path = MovePath(Configuration.all_on(4, n, src), tuple(moves))
     final = path.replay()
-    expected = (phi4_closed(n + 1) - 1) // 2
+    expected = (phi_closed(4, n + 1) - 1) // 2
     if path.length != expected:
         raise AssertionError(f"midpoint transfer of {n} disks took {path.length} moves, expected {expected}")
     for peg in (src, spare):
@@ -86,13 +87,7 @@ def two1_tight_pair(n: int) -> tuple[Configuration, Configuration, MovePath]:
     """
     if n < 2:
         raise ValueError(f"need at least two disks, got {n}")
-    best_a = None
-    best_cost = None
-    for a in range(n):
-        cost = phi4_closed(a + 1) + ((1 << (n - a)) - 1)
-        if best_cost is None or cost < best_cost:
-            best_a, best_cost = a, cost
-    a = best_a
+    a = _cheapest_split(1, n)
     b = n - a
     placement, gather = _spread_and_regather(a)
     pegs = list(placement) + [0] * (b - 1) + [1]
@@ -101,10 +96,7 @@ def two1_tight_pair(n: int) -> tuple[Configuration, Configuration, MovePath]:
     moves += transfer_moves(a, b - 1, (0, 1, 2), 0, 2)
     path = MovePath(u, tuple(moves))
     v = path.replay()
-    quotient, remainder = divmod(phi4_closed(n + 2) - 5, 4)
-    if remainder:
-        raise AssertionError(f"Phi(4, {n + 2}) - 5 is not divisible by 4")
-    expected = 1 + quotient
+    expected = gamma_formula(4, n + 2)[0] - 2  # 1 + (Phi(4, n+2) - 5) / 4
     if path.length != expected:
         raise AssertionError(f"tight pair for {n} disks took {path.length} moves, expected {expected}")
     if u.disks_on(2) or u.disks_on(3):
@@ -127,14 +119,7 @@ def main1_essential_path(n: int) -> MovePath:
     """
     if n < 3:
         raise ValueError(f"need at least three disks, got {n}")
-    best_a = None
-    best_cost = None
-    for a in range(n - 2):
-        b = n - 3 - a
-        cost = phi4_closed(a + 1) + ((1 << (b + 1)) - 1)
-        if best_cost is None or cost < best_cost:
-            best_a, best_cost = a, cost
-    a = best_a
+    a = _cheapest_split(1, n - 2)
     b = n - 3 - a
     placement, gather = _spread_and_regather(a)
     pegs = list(placement) + [0] * b + [0, 1, 2]
@@ -146,10 +131,7 @@ def main1_essential_path(n: int) -> MovePath:
     moves += [Move(n - 3, 0, 1)]
     path = MovePath(u, tuple(moves))
     path.replay()
-    quotient, remainder = divmod(phi4_closed(n) - 5, 4)
-    if remainder:
-        raise AssertionError(f"Phi(4, {n}) - 5 is not divisible by 4")
-    expected = 3 + quotient
+    expected = gamma_formula(4, n)[0]
     if path.length != expected:
         raise AssertionError(f"essential path for {n} disks took {path.length} moves, expected {expected}")
     if not is_essential(path):

@@ -2,14 +2,18 @@
 
 Phi(p, N) is the move count of the Frame-Stewart algorithm: split off the
 top l disks, park them using all p pegs, move the rest with p-1 pegs, then
-unpark.  Three routes to the same number live here: the minimization
-recurrence, the spectrum sum over bracket-inverse values, and the closed
-form for 4 pegs.  They are checked against each other in the test suite.
+unpark.  ``phi_closed`` is the closed form for every p >= 3 and the only
+route the rest of the package calls.  The minimization recurrence
+(``phi_recursive``) and the spectrum sum over bracket-inverse values
+(``phi_spectrum``) are kept only as independent cross-checks: the ``phi``
+verification suite, the ``lemmas`` identities, ``phi --method
+recursive|spectrum|all`` and the tests compare them with the closed form.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from typing import Iterable
 
 from .core import Configuration, Move, MovePath
@@ -19,6 +23,7 @@ __all__ = [
     "best_split",
     "frame_stewart_path",
     "phi4_closed",
+    "phi_closed",
     "phi_recursive",
     "phi_spectrum",
     "transfer_moves",
@@ -73,14 +78,27 @@ def phi_spectrum(p: int, n: int) -> int:
     return total
 
 
+def phi_closed(p: int, n: int) -> int:
+    """Phi(p, n) in closed form: with m = nabla(p, n) and
+    F(j) = sum over i in [0, p-3] of (-2)**i * C(j + p - 3, p - 3 - i),
+    the value is (F(m) + n - delta(p, m)) * 2**m - F(0).
+
+    F(0) = (-1)**(p-3), so the cost is p - 2 binomials whatever n is.
+    """
+    _check_args(p, n)
+    m = nabla(p, n)
+    f_m = 0
+    for k in range(p - 2):  # Horner: the C(., k) term ends up times (-2)**(p-3-k)
+        f_m = comb(m + p - 3, k) - 2 * f_m
+    return ((f_m + n - delta(p, m)) << m) - (-1) ** (p - 3)
+
+
 def phi4_closed(n: int) -> int:
-    """Phi(4, n) in closed form: write n - 1 = delta(4, m) + t with
-    0 <= t <= m, then the value is 1 + (m + t) * 2**m."""
+    """Phi(4, n) for n >= 1.  Kept by name because ``perfbench/tracing.py``
+    wraps it; the formula lives in phi_closed."""
     if n < 1:
         raise ValueError(f"disk count must be at least 1, got {n}")
-    m = nabla(4, n - 1)
-    t = n - 1 - delta(4, m)
-    return 1 + ((m + t) << m)
+    return phi_closed(4, n)
 
 
 def best_split(p: int, n: int) -> int:
@@ -89,13 +107,7 @@ def best_split(p: int, n: int) -> int:
         raise ValueError(f"best_split needs at least 4 pegs, got {p}")
     if n < 2:
         raise ValueError(f"best_split needs at least 2 disks, got {n}")
-    best_l = None
-    best_value = None
-    for split in range(1, n):
-        value = 2 * phi_spectrum(p, split) + phi_spectrum(p - 1, n - split)
-        if best_value is None or value < best_value:
-            best_l, best_value = split, value
-    return best_l
+    return min(range(1, n), key=lambda split: 2 * phi_closed(p, split) + phi_closed(p - 1, n - split))
 
 
 def transfer_moves(

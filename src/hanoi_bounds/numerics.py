@@ -30,6 +30,11 @@ def delta(p: int, n: int) -> int:
     _check_peg_count(p)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    return _delta(p, n)
+
+
+def _delta(p: int, n: int) -> int:
+    # delta without the argument checks, for nabla's search
     return math.comb(n + p - 3, p - 2)
 
 
@@ -42,13 +47,15 @@ def nabla(p: int, n: int) -> int:
     _check_peg_count(p)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    if p == 3:
+        return n  # delta(3, k) = k
     hi = 1
-    while delta(p, hi) <= n:
+    while _delta(p, hi) <= n:
         hi *= 2
     lo = hi // 2  # delta(p, lo) <= n < delta(p, hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if delta(p, mid) <= n:
+        if _delta(p, mid) <= n:
             lo = mid
         else:
             hi = mid

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .bounds import gamma_formula
 from .dyadic import DyadicRational
-from .frame_stewart import phi4_closed
 from .numerics import delta, nabla
 
 __all__ = [
@@ -99,15 +99,9 @@ def check_removal_bound(elements: Iterable[int], s: int, a: int) -> bool:
 def check_union_bound(a_elements: Iterable[int], b_elements: Iterable[int]) -> bool:
     """Whether psi(A) + psi(B) >= (Phi(4, N + 3) - 5) / 4 for N = |A u B|.
 
-    The right side is checked for exact divisibility by 4; if that ever
-    failed the comparison would still be made exactly over rationals.
+    The right side is Gamma(4, N + 3) - 3, an integer.
     """
     a_set = disk_set(a_elements)
     b_set = disk_set(b_elements)
     n = len(set(a_set) | set(b_set))
-    numerator = phi4_closed(n + 3) - 5
-    total = psi(a_set) + psi(b_set)
-    quotient, remainder = divmod(numerator, 4)
-    if remainder == 0:
-        return total >= quotient
-    return 4 * total >= numerator
+    return psi(a_set) + psi(b_set) >= gamma_formula(4, n + 3)[0] - 3

@@ -67,24 +67,21 @@ def _suite_phi(max_disks: int | None, cache: ResultCache) -> list[Case]:
     del cache  # no searches
     rec_limit = max_disks if max_disks is not None else 300
     closed_limit = max_disks if max_disks is not None else 2000
+    routes = (frame_stewart.phi_recursive, frame_stewart.phi_spectrum, frame_stewart.phi_closed)
     cases = []
     for p in range(3, 11):
-        bad = [
-            n
-            for n in range(rec_limit + 1)
-            if frame_stewart.phi_recursive(p, n) != frame_stewart.phi_spectrum(p, n)
-        ]
+        bad = [n for n in range(rec_limit + 1) if len({route(p, n) for route in routes}) != 1]
         cases.append(
             _case(
-                f"phi recursive=spectrum p={p} N<={rec_limit}",
+                f"phi recursive=spectrum=closed p={p} N<={rec_limit}",
                 not bad,
                 f"first mismatch at N={bad[0]}" if bad else "",
             )
         )
     bad = [
         n
-        for n in range(1, closed_limit + 1)
-        if frame_stewart.phi_spectrum(4, n) != frame_stewart.phi4_closed(n)
+        for n in range(closed_limit + 1)
+        if frame_stewart.phi_spectrum(4, n) != frame_stewart.phi_closed(4, n)
     ]
     cases.append(
         _case(
@@ -137,7 +134,7 @@ def _suite_bousch_h4(max_disks: int | None, cache: ResultCache) -> list[Case]:
         except CapExceededError as exc:
             cases.append(Case(name, "SKIP", str(exc)))
             continue
-        wanted = frame_stewart.phi4_closed(n)
+        wanted = frame_stewart.phi_closed(4, n)
         cases.append(_case(name, measured == wanted, f"search={measured} formula={wanted}"))
     return cases
 
@@ -215,10 +212,10 @@ def _suite_lemmas(max_disks: int | None, cache: ResultCache) -> list[Case]:
     del cache  # distance instances here are keyed by configurations, not (p, N)
     limit = max_disks if max_disks is not None else 6
     rng = random.Random(_SEED)
-    phi4_closed = frame_stewart.phi4_closed
+    phi = frame_stewart.phi_closed
     cases = []
 
-    bad = [n for n in range(2, 201) if 2 * potential.psi(range(n)) != phi4_closed(n + 1) - 1]
+    bad = [n for n in range(2, 201) if 2 * potential.psi(range(n)) != phi(4, n + 1) - 1]
     cases.append(
         _case(
             "gathered-set potential identity N<=200",
@@ -232,7 +229,7 @@ def _suite_lemmas(max_disks: int | None, cache: ResultCache) -> list[Case]:
         split_min = min(
             frame_stewart.phi_spectrum(4, a) + ((1 << (n - a)) - 1) for a in range(1, n)
         )
-        if 2 * split_min != phi4_closed(n + 1) - 1:
+        if 2 * split_min != phi(4, n + 1) - 1:
             bad.append(n)
     cases.append(
         _case(
@@ -285,7 +282,6 @@ def _suite_bounds_sandwich(max_disks: int | None, cache: ResultCache) -> list[Ca
     if max_disks is not None:
         h_grid = {p: min(v, max_disks) for p, v in h_grid.items()}
         gamma_grid = {p: min(v, max_disks) for p, v in gamma_grid.items()}
-    phi4_closed = frame_stewart.phi4_closed
     cases = []
     for p in sorted(h_grid):
         for n in range(1, h_grid[p] + 1):
@@ -314,11 +310,8 @@ def _suite_bounds_sandwich(max_disks: int | None, cache: ResultCache) -> list[Ca
                 _case(name, not failed, f"violated: {','.join(failed)}" if failed else f"H={h_value} gamma={gamma_value}")
             )
 
-    bad = [
-        n
-        for n in range(1, 501)
-        if 2 * (phi4_closed(n + 1) - 1) < phi4_closed(n + 2) - 1
-    ]
+    phi = frame_stewart.phi_closed
+    bad = [n for n in range(1, 501) if 2 * (phi(4, n + 1) - 1) < phi(4, n + 2) - 1]
     cases.append(
         _case(
             "halving inequality N<=500",

@@ -71,10 +71,10 @@ def test_criterion_4_five_peg_probe(cache):
 
 def test_criterion_5_phi_triple_agreement(cache):
     cases = run_suite("phi", cache)
-    assert list(cases) == [f"phi recursive=spectrum p={p} N<=300" for p in range(3, 11)] + [
+    assert list(cases) == [f"phi recursive=spectrum=closed p={p} N<=300" for p in range(3, 11)] + [
         "phi spectrum=closed p=4 N<=2000"
     ]
-    report(5, "recursion = spectrum (p <= 10, N <= 300); spectrum = closed form (p=4, N <= 2000)")
+    report(5, "recursion = spectrum = closed form (p <= 10, N <= 300); spectrum = closed form (p=4, N <= 2000)")
 
 
 def test_criterion_6_construction_exactness(cache):

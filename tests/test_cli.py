@@ -1,5 +1,6 @@
 import json
 import sys
+import threading
 
 import pytest
 
@@ -50,10 +51,10 @@ def test_phi_prints_past_the_int_digit_limit(capsys):
         sys.set_int_max_str_digits(limit)
 
 
-def test_phi_closed_needs_four_pegs(capsys):
-    code, _, err = run(capsys, "phi", "--pegs", "5", "--disks", "3", "--method", "closed")
-    assert code == 2
-    assert "4 pegs" in err
+def test_phi_closed_any_peg_count(capsys):
+    code, out, _ = run(capsys, "phi", "--pegs", "5", "--disks", "5", "--method", "closed")
+    assert code == 0
+    assert out.strip() == "11"
 
 
 def test_phi_usage_error(capsys):
@@ -242,10 +243,54 @@ def test_result_cache_survives_corrupt_file(tmp_path):
     assert json.loads(target.read_text())["entries"] == {"H:p4:n4:e2": 9}
 
 
+def test_result_cache_save_merges_concurrent_writers(tmp_path):
+    first = ResultCache(directory=tmp_path)
+    second = ResultCache(directory=tmp_path)
+    first.put("H", 4, 4, 9)
+    second.put("gamma", 4, 4, 5)
+    first.save()
+    second.save()
+    third = ResultCache(directory=tmp_path)
+    assert third.get("H", 4, 4) == 9
+    assert third.get("gamma", 4, 4) == 5
+
+
+def test_result_cache_concurrent_saves_lose_no_entry(tmp_path):
+    # more savers than cores, switching often: an unlocked read-merge-replace
+    # would drop entries written between another saver's read and replace
+    def saver(worker):
+        for n in range(20):
+            cache = ResultCache(directory=tmp_path)
+            cache.put("H", worker, n, n)
+            cache.save()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=saver, args=(worker,)) for worker in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    merged = ResultCache(directory=tmp_path)
+    assert all(merged.get("H", worker, n) == n for worker in range(6) for n in range(20))
+
+
 def test_verify_conjecture5_suite(capsys, cache_dir):
     code, out, _ = run(capsys, "verify", "--suite", "conjecture5", "--max-disks", "3")
     assert code == 0
     assert "fail=0" in out
+
+
+@pytest.mark.parametrize("suite, limit", [("main1", "-3"), ("phi", "-3"), ("lemmas", "0")])
+def test_verify_max_disks_below_one_is_usage_error(capsys, suite, limit):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", suite, "--max-disks", limit, "--json"])
+    assert exc.value.code == 2
+    assert "--max-disks" in capsys.readouterr().err
 
 
 def test_unknown_suite_is_usage_error(capsys):

@@ -5,6 +5,7 @@ from hanoi_bounds.frame_stewart import (
     best_split,
     frame_stewart_path,
     phi4_closed,
+    phi_closed,
     phi_recursive,
     phi_spectrum,
 )
@@ -30,6 +31,10 @@ def test_phi_recursive_rejects_bad_arguments():
         phi_recursive(2, 4)
     with pytest.raises(ValueError):
         phi_recursive(4, -1)
+    with pytest.raises(ValueError):
+        phi_closed(2, 3)
+    with pytest.raises(ValueError):
+        phi_closed(4, -1)
 
 
 @pytest.mark.parametrize("p, n, expected", [(4, 4, 9), (3, 5, 31), (4, 1, 1), (4, 0, 0)])
@@ -47,6 +52,12 @@ def test_three_routes_agree_on_a_grid():
     for p in range(3, 11):
         for n in range(0, 120):
             assert phi_recursive(p, n) == phi_spectrum(p, n)
+    for p in range(3, 11):
+        for n in range(0, 400):
+            assert phi_closed(p, n) == phi_spectrum(p, n)
+    for p in range(5, 9):
+        # the spectrum sum takes at most tens of milliseconds here
+        assert phi_closed(p, 10**12 + 12345) == phi_spectrum(p, 10**12 + 12345)
     for n in range(1, 500):
         assert phi_spectrum(4, n) == phi4_closed(n)
 
