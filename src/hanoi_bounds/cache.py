@@ -4,8 +4,10 @@ Deep searches (exact transfer counts and essential-path lengths) can take
 seconds to minutes; verification suites rerun them often.  Values are
 memoized in a JSON file keyed by (kind, pegs, disks, engine version).
 The cache is advisory: a missing, stale, or corrupt file only costs a
-recomputation, and --no-cache bypasses it entirely.  Saving merges into
-the file, so concurrent runs keep each other's entries.
+recomputation, and --no-cache bypasses it entirely.  Entries of other
+engine versions are dropped on load, so the next save prunes them.
+Saving merges into the file, so concurrent runs keep each other's
+entries.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ except ImportError:  # no advisory file locks on this platform
 
 __all__ = ["ENGINE_VERSION", "ResultCache", "default_cache_dir"]
 
-ENGINE_VERSION = 2
+ENGINE_VERSION = 3
 
 
 def default_cache_dir() -> Path:
@@ -55,7 +57,10 @@ class ResultCache:
             with open(self.path, encoding="utf-8") as handle:
                 data = json.load(handle)
             entries = data.get("entries", {})
-            self._entries = {str(k): int(v) for k, v in entries.items()}
+            current = f":e{ENGINE_VERSION}"  # other engines' keys are never read again
+            self._entries = {
+                str(k): int(v) for k, v in entries.items() if str(k).endswith(current)
+            }
         except (OSError, ValueError, AttributeError):
             self._entries = {}
 

@@ -7,22 +7,36 @@ frontiers are flat rank arrays, visit tables are dense per-state arrays
 the inputs regardless of expansion order, because each sweep finishes a
 whole level before testing for termination.
 
-``distance`` expands each frontier with ``_edges``, which reads digits and
-top disks off the ranks.  ``exact_gamma`` instead builds the whole
-configuration graph once as a padded adjacency table (neighbour rank and
-moved-disk bit per slot), so each level is one gather.  Its byte per
-product state reads 0 (unseen), 1 (seen) or 2 (new this level); a level's
-new states are collected by scanning their rank window for 2s when the
-window is narrow against their count, and by sorting them otherwise.
+Top disks come from lookup tables, not from per-state digits: a rank is
+split into its low n // 2 disks and its high disks, and two small tables
+(p**(n // 2) and p**(n - n // 2) rows, built per call) give each half's
+top disk per peg; a peg's top is the low half's unless that half leaves
+the peg empty.  ``_edges`` and ``distance`` both read tops this way.
+
+``distance`` expands a level one ordered peg pair at a time, dropping the
+neighbours its int32 table has already seen and marking the rest at once.
+A pair's move is undone by the reverse move, so no neighbour comes twice
+from one pair, and marking before the next pair keeps it out of the
+others: a level needs no sort and no dedupe pass.  When the endpoints are
+mirror images (v is u with its pegs relabeled by an involution sigma, as
+for exact_H's all-on-0 and all-on-(p-1)), the sweep from v is the sweep
+from u mirrored, so only one sweep runs, over one table.
+
+``exact_gamma`` instead builds the whole configuration graph once as a
+padded adjacency table (neighbour rank and moved-disk bit per slot), so
+each level is one gather.  Its byte per product state reads 0 (unseen),
+1 (seen) or 2 (new this level); a level's new states are collected by
+scanning their rank window for 2s when the window is narrow against their
+count, and by sorting them otherwise.
 
 Caps bound the state counts a search may touch.  Exceeding a cap raises
 CapExceededError, never a silent truncation.  Defaults can be overridden
 per call or through HANOI_STATE_CAP / HANOI_PRODUCT_CAP; no cap exceeds
 2**62, so ranks stay inside int64.  A search whose tables would exceed
-the machine's physical memory raises CapExceededError as well, before it
-allocates them.  Searches also refuse more than
-MAX_PEGS pegs or MAX_DISKS disks with ValueError; those limits belong to
-the search alone, not to configurations or paths.
+the machine's physical memory or its cgroup's memory limit raises
+CapExceededError as well, before it allocates them.  Searches also
+refuse more than MAX_PEGS pegs or MAX_DISKS disks with ValueError; those
+limits belong to the search alone, not to configurations or paths.
 """
 
 from __future__ import annotations
@@ -89,17 +103,47 @@ def _check_limits(p: int, n: int) -> None:
         raise ValueError(f"disk count must be in [0, {MAX_DISKS}], got {n}")
 
 
+# Where a cgroup's memory limit can be read: v2 first, then v1.
+_CGROUP_LIMIT_FILES = (
+    "/sys/fs/cgroup/memory.max",
+    "/sys/fs/cgroup/memory/memory.limit_in_bytes",
+)
+
+
+def _cgroup_limit() -> int | None:
+    """This process's cgroup memory limit in bytes, or None where no limit
+    file is readable or the limit is "max"."""
+    for path in _CGROUP_LIMIT_FILES:
+        try:
+            with open(path, encoding="ascii") as handle:
+                raw = handle.read().strip()
+        except OSError:
+            continue
+        if raw == "max":
+            return None
+        try:
+            return int(raw)
+        except ValueError:
+            continue
+    return None
+
+
 def _check_memory(nbytes: int, what: str) -> None:
     """Refuse, before allocating, a search whose tables alone exceed the
-    machine's physical memory; a legal cap can still ask for more."""
+    lower of the machine's physical memory and the cgroup memory limit; a
+    legal cap can still ask for more."""
+    limits = []
     try:
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        limits.append(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
     except (AttributeError, ValueError, OSError):  # no sysconf (Windows) or no such name
-        return
-    if nbytes > physical:
+        pass
+    cgroup = _cgroup_limit()
+    if cgroup is not None:
+        limits.append(cgroup)
+    if limits and nbytes > min(limits):
         raise CapExceededError(
-            f"{what} needs {nbytes} bytes of tables, more than the {physical} bytes "
-            "of physical memory"
+            f"{what} needs {nbytes} bytes of tables, more than the {min(limits)} bytes "
+            "allowed (the lower of physical memory and the cgroup memory limit)"
         )
 
 
@@ -120,12 +164,62 @@ def _digit_matrix(ranks: np.ndarray, p: int, n: int) -> np.ndarray:
 def _top_disks(digits: np.ndarray, p: int, n: int) -> np.ndarray:
     """Topmost (smallest) disk per peg; the sentinel n marks an empty peg."""
     tops = np.full((digits.shape[0], p), n, dtype=np.int8)
-    for peg in range(p):
-        on_peg = digits == peg
-        occupied = on_peg.any(axis=1)
-        firsts = on_peg.argmax(axis=1)
-        tops[occupied, peg] = firsts[occupied].astype(np.int8)
+    rows = np.arange(digits.shape[0])
+    for disk in range(n - 1, -1, -1):  # smaller disks overwrite larger ones
+        tops[rows, digits[:, disk]] = disk
     return tops
+
+
+def _halves(p: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """A rank is low + split * high, with low placing the n // 2 smallest
+    disks and high the rest.  Returns split and the digit matrices of every
+    low and of every high rank."""
+    low_disks = n // 2
+    split = p**low_disks
+    return (
+        split,
+        _digit_matrix(np.arange(split), p, low_disks),
+        _digit_matrix(np.arange(p ** (n - low_disks)), p, n - low_disks),
+    )
+
+
+def _top_tables(p: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Top-disk lookup tables for the halves of a rank (see ``_halves``).
+
+    Returns (split, low, high): ``low[peg, r]`` is the top disk of ``peg``
+    among the low disks placed as rank r, ``high[peg, r]`` the same among
+    the high disks, both as disk numbers with n for an empty peg.  Every
+    low disk is smaller than every high disk, so a peg's top is the smaller
+    of its two entries (see ``_tops``).
+    """
+    split, low_digits, high_digits = _halves(p, n)
+    low_disks = low_digits.shape[1]
+    low = _top_disks(low_digits, p, low_disks)
+    low[low == low_disks] = n
+    high = _top_disks(high_digits, p, n - low_disks) + low_disks
+    # peg-major, so ``_tops`` returns one contiguous row of tops per peg
+    return split, np.ascontiguousarray(low.T), np.ascontiguousarray(high.T)
+
+
+def _tops(
+    ranks: np.ndarray, split: int, low: np.ndarray, high: np.ndarray
+) -> np.ndarray:
+    """Top disk of every peg for each rank; shape (p, len(ranks)), n marks
+    an empty peg."""
+    high_ranks, low_ranks = np.divmod(ranks, split)
+    return np.minimum(low[:, low_ranks], high[:, high_ranks])
+
+
+def _moves(tops: np.ndarray):
+    """(x, y, idx) for every ordered peg pair: the positions whose top disk
+    on peg x may move to peg y.  A move is legal exactly when that disk is
+    smaller than the top of y; the sentinel n makes empty pegs accept
+    every disk and empty pegs move none."""
+    p = tops.shape[0]
+    for x in range(p):
+        for y in range(p):
+            if x != y:
+                yield x, y, np.flatnonzero(tops[x] < tops[y])
 
 
 def _edges(
@@ -135,30 +229,18 @@ def _edges(
 
     Returns (pos, nbr, disk): for each edge, the index of its source within
     ``cfg_ranks``, the neighbor's configuration rank, and the moved disk.
-    A move of the top disk d from peg x to peg y is legal exactly when
-    d is smaller than the top of y (the sentinel makes empty pegs accept
-    everything), and it changes the rank by (y - x) * p**d.
+    Moving the top disk d from peg x to peg y changes the rank by
+    (y - x) * p**d.
     """
-    digits = _digit_matrix(cfg_ranks, p, n)
-    tops = _top_disks(digits, p, n)
-    pos_parts: list[np.ndarray] = []
-    nbr_parts: list[np.ndarray] = []
-    disk_parts: list[np.ndarray] = []
-    for x in range(p):
-        top_x = tops[:, x]
-        for y in range(p):
-            if y == x:
-                continue
-            idx = np.nonzero(top_x < tops[:, y])[0]
-            if idx.size == 0:
-                continue
-            moved = top_x[idx].astype(np.int64)
-            pos_parts.append(idx)
-            nbr_parts.append(cfg_ranks[idx] + (y - x) * pow_p[moved])
-            disk_parts.append(moved)
-    if not pos_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
+    tops = _tops(cfg_ranks, *_top_tables(p, n))
+    pos_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    nbr_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    disk_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    for x, y, idx in _moves(tops):
+        moved = tops[x, idx].astype(np.int64)
+        pos_parts.append(idx)
+        nbr_parts.append(cfg_ranks[idx] + (y - x) * pow_p[moved])
+        disk_parts.append(moved)
     return (
         np.concatenate(pos_parts),
         np.concatenate(nbr_parts),
@@ -166,36 +248,61 @@ def _edges(
     )
 
 
-def _advance(
+def _expand(
     frontier: np.ndarray,
     depth: int,
-    dist_mine: np.ndarray,
-    dist_other: np.ndarray,
-    best: int | None,
-    p: int,
-    n: int,
+    dist: np.ndarray,
+    tables: tuple[int, np.ndarray, np.ndarray],
     pow_p: np.ndarray,
-) -> tuple[np.ndarray, int, int | None]:
-    """Expand one side of the bidirectional search by a single level."""
-    _, nbrs, _ = _edges(frontier, p, n, pow_p)
-    fresh = nbrs[dist_mine[nbrs] < 0]
-    if fresh.size:
-        fresh = np.unique(fresh)
-        dist_mine[fresh] = depth + 1
-        other = dist_other[fresh]
-        met = other >= 0
-        if met.any():
-            candidate = depth + 1 + int(other[met].min())
-            if best is None or candidate < best:
-                best = candidate
-    return fresh, depth + 1, best
+) -> np.ndarray:
+    """The states one move from ``frontier`` that ``dist`` has not seen,
+    each once, marked ``depth + 1`` in ``dist``.
+
+    Within one ordered peg pair (x, y) a neighbour has a single source (move
+    its top disk on y back to x), so a pair emits no duplicates; marking
+    each pair's new states before the next pair looks keeps them out of
+    every later pair, so the level needs no sort or dedupe pass.
+    """
+    tops = _tops(frontier, *tables)
+    parts = [np.empty(0, dtype=np.int64)]
+    for x, y, idx in _moves(tops):
+        nbrs = frontier[idx] + (y - x) * pow_p[tops[x, idx]]
+        nbrs = nbrs[dist[nbrs] < 0]
+        dist[nbrs] = depth + 1
+        parts.append(nbrs)
+    return np.concatenate(parts)
+
+
+def _involution(u: tuple[int, ...], v: tuple[int, ...], p: int) -> list[int] | None:
+    """A peg permutation sigma with sigma(sigma(x)) = x that maps u onto v
+    disk by disk, or None when there is none."""
+    sigma: list[int | None] = [None] * p
+    for a, b in zip(u, v):
+        if sigma[a] not in (None, b) or sigma[b] not in (None, a):
+            return None
+        sigma[a], sigma[b] = b, a
+    return [x if image is None else image for x, image in enumerate(sigma)]
+
+
+def _mirror_tables(sigma: list[int], p: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Rank of sigma applied to every disk, as (split, low, high) with
+    sigma(rank) = low[rank % split] + high[rank // split]."""
+    split, low_digits, high_digits = _halves(p, n)
+    perm = np.array(sigma, dtype=np.int64)
+    low = perm[low_digits] @ _powers(p, low_digits.shape[1])
+    high = perm[high_digits] @ _powers(p, high_digits.shape[1])
+    return split, low, high * split
 
 
 def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
     """Exact shortest-move distance between two configurations.
 
     Bidirectional level-synchronous BFS over integer-ranked states; the
-    two sweeps alternate, always growing the smaller frontier.
+    two sweeps alternate, always growing the smaller frontier.  When v is
+    u with its pegs relabeled by an involution sigma, d(v, s) = d(u,
+    sigma(s)), so the sweep from v is the sweep from u mirrored: only the
+    sweep from u runs, with one table, and reads v's depth of s at
+    sigma(s).
     """
     if (u.p, u.n) != (v.p, v.n):
         raise ValueError("configurations must share peg and disk counts")
@@ -207,33 +314,43 @@ def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
     cap_value = _cap(cap, "HANOI_STATE_CAP", DEFAULT_STATE_CAP)
     if size > cap_value:
         raise CapExceededError(f"distance over {size} states exceeds the cap {cap_value}")
-    _check_memory(2 * size * 4, "distance search")
+    sigma = _involution(u.pegs, v.pegs, p)
+    mirrored = sigma is not None
+    ends = [u] if mirrored else [u, v]
+    half_states = p ** (n // 2) + p ** (n - n // 2)
+    half_bytes = (p + 8 * mirrored) * half_states  # int8 tops, int64 mirror ranks
+    _check_memory(len(ends) * size * 4 + half_bytes, "distance search")
     pow_p = _powers(p, n)
-    dist_a = np.full(size, -1, dtype=np.int32)
-    dist_b = np.full(size, -1, dtype=np.int32)
-    frontier_a = np.array([u.rank()], dtype=np.int64)
-    frontier_b = np.array([v.rank()], dtype=np.int64)
-    dist_a[frontier_a] = 0
-    dist_b[frontier_b] = 0
-    depth_a = depth_b = 0
+    tables = _top_tables(p, n)
+    if mirrored:
+        mirror_split, mirror_low, mirror_high = _mirror_tables(sigma, p, n)
+    dists = [np.full(size, -1, dtype=np.int32) for _ in ends]
+    frontiers = [np.array([end.rank()], dtype=np.int64) for end in ends]
+    for dist, frontier in zip(dists, frontiers):
+        dist[frontier] = 0
+    depths = [0, 0]
     best: int | None = None
-    while True:
-        # Once best <= depth_a + depth_b + 1, any undiscovered path would
-        # need a node beyond both explored balls and be strictly longer.
-        if best is not None and best <= depth_a + depth_b + 1:
-            return best
-        if frontier_a.size == 0 or frontier_b.size == 0:
+    # Once best <= depth_u + depth_v + 1, any undiscovered path would need a
+    # node beyond both explored balls and be strictly longer.
+    while best is None or best > depths[0] + depths[1] + 1:
+        side = 0 if mirrored or frontiers[0].size <= frontiers[1].size else 1
+        if frontiers[side].size == 0:
             if best is not None:
                 return best
             raise RuntimeError("frontier died before the sweeps met; the graph should be connected")
-        if frontier_a.size <= frontier_b.size:
-            frontier_a, depth_a, best = _advance(
-                frontier_a, depth_a, dist_a, dist_b, best, p, n, pow_p
-            )
+        fresh = _expand(frontiers[side], depths[side], dists[side], tables, pow_p)
+        frontiers[side] = fresh
+        depths[side] += 1
+        if mirrored:
+            depths[1] = depths[0]  # v's sweep is u's, mapped by sigma
+            high_ranks, low_ranks = np.divmod(fresh, mirror_split)
+            other = dists[0][mirror_low[low_ranks] + mirror_high[high_ranks]]
         else:
-            frontier_b, depth_b, best = _advance(
-                frontier_b, depth_b, dist_b, dist_a, best, p, n, pow_p
-            )
+            other = dists[1 - side][fresh]
+        met = other[other >= 0]  # -1: not yet reached from the other end
+        if met.size and (best is None or depths[side] + int(met.min()) < best):
+            best = depths[side] + int(met.min())
+    return best
 
 
 def exact_H(p: int, n: int, cap: int | None = None) -> int:

@@ -222,10 +222,10 @@ def test_verify_populates_and_reuses_cache(capsys, cache_dir):
     cache_file = cache_dir / "results.json"
     assert cache_file.exists()
     entries = json.loads(cache_file.read_text())["entries"]
-    assert entries["gamma:p4:n4:e2"] == 4
+    assert entries["gamma:p4:n4:e3"] == 4
     # a poisoned cache value is trusted (advisory store, bypassed by --no-cache)
-    entries["gamma:p4:n4:e2"] = 999
-    cache_file.write_text(json.dumps({"engine": 2, "entries": entries}))
+    entries["gamma:p4:n4:e3"] = 999
+    cache_file.write_text(json.dumps({"engine": 3, "entries": entries}))
     code, out, _ = run(capsys, "verify", "--suite", "main1", "--max-disks", "4")
     assert code == 1
     assert "FAIL gamma(4,4)" in out
@@ -240,7 +240,18 @@ def test_result_cache_survives_corrupt_file(tmp_path):
     assert cache.get("H", 4, 4) is None
     cache.put("H", 4, 4, 9)
     cache.save()
-    assert json.loads(target.read_text())["entries"] == {"H:p4:n4:e2": 9}
+    assert json.loads(target.read_text())["entries"] == {"H:p4:n4:e3": 9}
+
+
+def test_result_cache_save_prunes_other_engine_versions(tmp_path):
+    target = tmp_path / "results.json"
+    stale = {"gamma:p4:n9:e1": 12, "H:p4:n4:e2": 9}
+    target.write_text(json.dumps({"engine": 2, "entries": stale}))
+    cache = ResultCache(directory=tmp_path)
+    assert cache.get("H", 4, 4) is None
+    cache.put("gamma", 4, 4, 4)
+    cache.save()
+    assert json.loads(target.read_text())["entries"] == {"gamma:p4:n4:e3": 4}
 
 
 def test_result_cache_save_merges_concurrent_writers(tmp_path):

@@ -12,7 +12,7 @@ from hanoi_bounds.core import (
     is_essential,
     legal_moves,
 )
-from hanoi_bounds.frame_stewart import frame_stewart_path, phi4_closed
+from hanoi_bounds.frame_stewart import frame_stewart_path, phi4_closed, phi_closed
 from hanoi_bounds.potential import psi
 from hanoi_bounds.state_space import (
     CapExceededError,
@@ -161,6 +161,8 @@ def test_distance_agrees_with_pure_python_bfs():
     # independent oracle: dictionary BFS over explicitly applied moves
     from collections import deque
 
+    from hanoi_bounds.state_space import _involution
+
     def plain_bfs(u, v):
         seen = {u.pegs}
         queue = deque([(u, 0)])
@@ -182,6 +184,43 @@ def test_distance_agrees_with_pure_python_bfs():
         u = random_config(rng, p, n)
         v = random_config(rng, p, n)
         assert distance(u, v) == plain_bfs(u, v)
+
+    # v = sigma(u) for a peg involution sigma takes the one-sided search,
+    # an unrelated v the two-sided one
+    rng = random.Random(59)
+    two_sided = 0
+    for _ in range(60):
+        p = rng.randint(3, 5)
+        n = rng.randint(0, 5)
+        u = random_config(rng, p, n)
+        pegs = rng.sample(range(p), p)
+        sigma = list(range(p))
+        for k in range(0, 2 * rng.randint(0, p // 2), 2):
+            sigma[pegs[k]], sigma[pegs[k + 1]] = pegs[k + 1], pegs[k]
+        mirrored = Configuration(p, tuple(sigma[x] for x in u.pegs))
+        assert _involution(u.pegs, mirrored.pegs, p) is not None
+        assert distance(u, mirrored) == plain_bfs(u, mirrored), (u, mirrored)
+        v = random_config(rng, p, n)
+        two_sided += _involution(u.pegs, v.pegs, p) is None
+        assert distance(u, v) == plain_bfs(u, v), (u, v)
+    assert two_sided > 20
+
+
+def test_top_tables_match_top_disks():
+    import numpy as np
+
+    from hanoi_bounds.state_space import _digit_matrix, _top_disks, _top_tables, _tops
+
+    rng = random.Random(61)
+    for p in range(3, 9):
+        for n in range(13):
+            ranks = np.array([rng.randrange(p**n) for _ in range(50)], dtype=np.int64)
+            looked_up = _tops(ranks, *_top_tables(p, n))
+            direct = _top_disks(_digit_matrix(ranks, p, n), p, n)
+            assert np.array_equal(looked_up, direct.T), (p, n)
+            c = Configuration.from_rank(p, n, int(ranks[0]))
+            by_rules = [min(c.disks_on(peg), default=n) for peg in range(p)]
+            assert looked_up[:, 0].tolist() == by_rules, (p, n)
 
 
 def test_vectorized_neighbors_match_legal_moves():
@@ -245,6 +284,13 @@ def test_state_cap_env(monkeypatch):
 @pytest.mark.parametrize("p, n, expected", [(3, 3, 7), (4, 4, 9), (4, 1, 1), (3, 0, 0)])
 def test_exact_H_values(p, n, expected):
     assert exact_H(p, n) == expected
+
+
+def test_exact_H_matches_phi_closed():
+    # 2**n - 1 at 3 pegs; Bousch's theorem at 4
+    for p, top in ((3, 12), (4, 10)):
+        for n in range(top + 1):
+            assert exact_H(p, n) == phi_closed(p, n), (p, n)
 
 
 @pytest.mark.parametrize(
@@ -331,6 +377,30 @@ def test_tables_larger_than_physical_memory_are_refused():
         exact_gamma(5, 13, cap=2**62)
     with pytest.raises(CapExceededError, match="physical memory"):
         distance(Configuration.all_on(8, 13, 0), Configuration.all_on(8, 13, 7), cap=2**62)
+
+
+def test_memory_check_counts_the_tables_searched_and_the_cgroup_limit(monkeypatch):
+    # one int32 table of 4**8 states fits under the limit, two do not: the
+    # mirrored endpoints of exact_H search one table, an unrelated pair two
+    monkeypatch.setattr(state_space, "_cgroup_limit", lambda: 6 * 4**8)
+    assert exact_H(4, 8) == 33
+    with pytest.raises(CapExceededError, match="cgroup memory limit"):
+        distance(Configuration.all_on(4, 8, 0), Configuration(4, (1,) + (2,) * 7))
+    monkeypatch.setattr(state_space, "_cgroup_limit", lambda: 4**8)
+    with pytest.raises(CapExceededError, match="cgroup memory limit"):
+        exact_H(4, 8)
+
+
+def test_cgroup_limit_reader(monkeypatch, tmp_path):
+    v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
+    monkeypatch.setattr(state_space, "_CGROUP_LIMIT_FILES", (str(v2), str(v1)))
+    assert state_space._cgroup_limit() is None  # neither file exists
+    v1.write_text("12345\n")
+    assert state_space._cgroup_limit() == 12345
+    v2.write_text("max\n")
+    assert state_space._cgroup_limit() is None
+    v2.write_text("67890\n")
+    assert state_space._cgroup_limit() == 67890
 
 
 def test_exact_gamma_monotone_in_disks():
