@@ -123,7 +123,13 @@ def dp_lower_bounds(p: int, n_max: int) -> list[int]:
 
 
 def dp_lower_bound(p: int, n: int) -> int:
-    """Dynamic-program lower bound on Gamma(p, n); see dp_lower_bounds."""
+    """Dynamic-program lower bound on Gamma(p, n); see dp_lower_bounds.
+
+    Row 4 of the program is the exact 4-peg formula, so p = 4 reads it
+    directly instead of building a row of n + 1 values.
+    """
+    if p == 4:
+        return gamma_formula(4, n)[0]
     return dp_lower_bounds(p, n)[n]
 
 

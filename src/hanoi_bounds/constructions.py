@@ -57,10 +57,6 @@ def midpoint_path(
     return path
 
 
-def _reversed_moves(moves: tuple[Move, ...]) -> list[Move]:
-    return [m.reverse() for m in reversed(moves)]
-
-
 def _spread_and_regather(a: int) -> tuple[tuple[int, ...], list[Move]]:
     """A placement of the a smallest disks over pegs {0, 1} together with
     moves gathering them all onto peg 3 in (Phi(4, a+1) - 1) / 2 steps.
@@ -71,8 +67,8 @@ def _spread_and_regather(a: int) -> tuple[tuple[int, ...], list[Move]]:
     """
     if a == 0:
         return (), []
-    forward = midpoint_path(a, src=3, targets=(0, 1), spare=2)
-    return forward.replay().pegs, _reversed_moves(forward.moves)
+    back = midpoint_path(a, src=3, targets=(0, 1), spare=2).reversed()
+    return back.start.pegs, list(back.moves)
 
 
 def two1_tight_pair(n: int) -> tuple[Configuration, Configuration, MovePath]:

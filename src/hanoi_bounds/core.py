@@ -73,17 +73,6 @@ class Configuration:
         """Disks on ``peg``, listed from the top of the stack down."""
         return tuple(d for d, x in enumerate(self.pegs) if x == peg)
 
-    def top(self, peg: int) -> int | None:
-        """The topmost (smallest) disk on ``peg``, or None if it is empty."""
-        for d, x in enumerate(self.pegs):
-            if x == peg:
-                return d
-        return None
-
-    def empty_pegs(self) -> tuple[int, ...]:
-        used = set(self.pegs)
-        return tuple(x for x in range(self.p) if x not in used)
-
     def rank(self) -> int:
         """Integer rank: sum over disks of peg * p**disk."""
         total = 0

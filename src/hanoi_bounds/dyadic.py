@@ -38,10 +38,6 @@ class DyadicRational:
     def from_int(cls, value: int) -> DyadicRational:
         return cls(value, 0)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.mantissa == 0 or self.exponent >= 0
-
     def ceil(self) -> int:
         """Smallest integer >= this value (exact, no floating point)."""
         if self.exponent >= 0:

@@ -20,6 +20,7 @@ from .core import Configuration, Move, MovePath
 from .numerics import delta, nabla
 
 __all__ = [
+    "MAX_PHI_EXPONENT",
     "best_split",
     "frame_stewart_path",
     "phi4_closed",
@@ -28,6 +29,11 @@ __all__ = [
     "phi_spectrum",
     "transfer_moves",
 ]
+
+# The largest m = nabla(p, n), about Phi(p, n)'s bit count, that phi_closed
+# shifts by: a longer Phi takes over 2 MB and minutes to print in decimal, and
+# n = 10**100 at 8 pegs would exhaust memory.  Phi(4, 10**9) has m = 44,720.
+MAX_PHI_EXPONENT = 1 << 24
 
 
 def _check_args(p: int, n: int) -> None:
@@ -84,9 +90,15 @@ def phi_closed(p: int, n: int) -> int:
     the value is (F(m) + n - delta(p, m)) * 2**m - F(0).
 
     F(0) = (-1)**(p-3), so the cost is p - 2 binomials whatever n is.
+    Raises ValueError, before shifting, when m exceeds MAX_PHI_EXPONENT.
     """
     _check_args(p, n)
     m = nabla(p, n)
+    if m > MAX_PHI_EXPONENT:
+        raise ValueError(
+            f"Phi({p}, n) has about nabla({p}, n) = {m} bits, "
+            f"more than MAX_PHI_EXPONENT = {MAX_PHI_EXPONENT}"
+        )
     f_m = 0
     for k in range(p - 2):  # Horner: the C(., k) term ends up times (-2)**(p-3-k)
         f_m = comb(m + p - 3, k) - 2 * f_m

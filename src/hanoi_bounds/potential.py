@@ -44,14 +44,18 @@ def disk_set(elements: Iterable[int]) -> DiskSet:
     return tuple(items)
 
 
+def _psi_level(grades: list[int], level: int) -> int:
+    """psi_L for the set whose members have grades nabla(4, n) in ``grades``:
+    (1 - L) * 2**L - 1 + sum over the grades g of 2**min(g, L)."""
+    return (1 - level) * (1 << level) - 1 + sum(1 << min(g, level) for g in grades)
+
+
 def psi_L(elements: Iterable[int], level: int) -> int:
     """The truncated potential at ``level``:
     (1 - L) * 2**L - 1 + sum over n in E of 2**min(nabla(4, n), L)."""
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
-    members = disk_set(elements)
-    head = (1 - level) * (1 << level) - 1
-    return head + sum(1 << min(nabla(4, n), level) for n in members)
+    return _psi_level([nabla(4, n) for n in disk_set(elements)], level)
 
 
 def psi(elements: Iterable[int]) -> int:
@@ -62,17 +66,9 @@ def psi(elements: Iterable[int]) -> int:
     constant while (1 - L) * 2**L strictly decreases, so a finite exact
     scan suffices.
     """
-    members = disk_set(elements)
-    grades = [nabla(4, n) for n in members]
+    grades = [nabla(4, n) for n in disk_set(elements)]
     top = 1 if not grades else max(grades) + 1
-    best = None
-    for level in range(top + 1):
-        value = (1 - level) * (1 << level) - 1 + sum(
-            1 << min(g, level) for g in grades
-        )
-        if best is None or value > best:
-            best = value
-    return best
+    return max(_psi_level(grades, level) for level in range(top + 1))
 
 
 def check_removal_bound(elements: Iterable[int], s: int, a: int) -> bool:

@@ -11,23 +11,31 @@ Top disks come from lookup tables, not from per-state digits: a rank is
 split into its low n // 2 disks and its high disks, and two small tables
 (p**(n // 2) and p**(n - n // 2) rows, built per call) give each half's
 top disk per peg; a peg's top is the low half's unless that half leaves
-the peg empty.  ``_edges`` and ``distance`` both read tops this way.
+the peg empty.
 
-``distance`` expands a level one ordered peg pair at a time, dropping the
-neighbours its int32 table has already seen and marking the rest at once.
-A pair's move is undone by the reverse move, so no neighbour comes twice
-from one pair, and marking before the next pair keeps it out of the
-others: a level needs no sort and no dedupe pass.  When the endpoints are
-mirror images (v is u with its pegs relabeled by an involution sigma, as
-for exact_H's all-on-0 and all-on-(p-1)), the sweep from v is the sweep
-from u mirrored, so only one sweep runs, over one table.
+One rule, ``_pair_moves``, gives the legal moves to both searches.  Each
+unordered peg pair {x, y} has exactly one move: the smaller of its two
+top disks goes onto the other peg (none when both pegs are empty, a
+self-loop).  The move undoes itself, since from the neighbour the same
+pair moves the same disk back, so one pair never leads two states to the
+same neighbour.
 
-``exact_gamma`` instead builds the whole configuration graph once as a
-padded adjacency table (neighbour rank and moved-disk bit per slot), so
-each level is one gather.  Its byte per product state reads 0 (unseen),
-1 (seen) or 2 (new this level); a level's new states are collected by
-scanning their rank window for 2s when the window is narrow against their
-count, and by sorting them otherwise.
+``distance`` expands a level one peg pair at a time, dropping the
+neighbours its int32 table has already seen (self-loops among them) and
+marking the rest at once.  Marking before the next pair keeps a pair's
+new states out of the others, and no pair repeats one, so a level needs
+no sort and no dedupe pass.  When the endpoints are mirror images (v is
+u with its pegs relabeled by an involution sigma, as for exact_H's
+all-on-0 and all-on-(p-1)), the sweep from v is the sweep from u
+mirrored, so only one sweep runs, over one table.
+
+``exact_gamma`` instead builds the whole configuration graph once as an
+adjacency table of fixed width p(p-1)/2, one slot per peg pair holding
+the neighbour rank and the moved disk's bit, so each level is one
+gather.  Its byte per product state reads 0 (unseen), 1 (seen) or 2 (new
+this level); a level's new states are collected by scanning their rank
+window for 2s when the window is narrow against their count, and by
+sorting them otherwise.
 
 Caps bound the state counts a search may touch.  Exceeding a cap raises
 CapExceededError, never a silent truncation.  Defaults can be overridden
@@ -210,42 +218,21 @@ def _tops(
     return np.minimum(low[:, low_ranks], high[:, high_ranks])
 
 
-def _moves(tops: np.ndarray):
-    """(x, y, idx) for every ordered peg pair: the positions whose top disk
-    on peg x may move to peg y.  A move is legal exactly when that disk is
-    smaller than the top of y; the sentinel n makes empty pegs accept
-    every disk and empty pegs move none."""
-    p = tops.shape[0]
-    for x in range(p):
-        for y in range(p):
-            if x != y:
-                yield x, y, np.flatnonzero(tops[x] < tops[y])
+def _pair_moves(tops: np.ndarray, p: int, n: int):
+    """The legal moves of the ranks whose tops are ``tops``, as (moved,
+    step) for each unordered peg pair {x, y} in turn: ``moved`` is the
+    smaller of the two tops, n where both pegs are empty, and ``step`` the
+    rank change, (y - x) * p**d for disk d going from x to y, 0 for n.
 
-
-def _edges(
-    cfg_ranks: np.ndarray, p: int, n: int, pow_p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All single-move edges out of the given configuration ranks.
-
-    Returns (pos, nbr, disk): for each edge, the index of its source within
-    ``cfg_ranks``, the neighbor's configuration rank, and the moved disk.
-    Moving the top disk d from peg x to peg y changes the rank by
-    (y - x) * p**d.
+    After the move, the moved disk tops its new peg and is smaller than the
+    top it left, so the same pair moves it back: each pair's move is an
+    involution on ranks, and no pair maps two ranks onto one neighbour.
     """
-    tops = _tops(cfg_ranks, *_top_tables(p, n))
-    pos_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    nbr_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    disk_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    for x, y, idx in _moves(tops):
-        moved = tops[x, idx].astype(np.int64)
-        pos_parts.append(idx)
-        nbr_parts.append(cfg_ranks[idx] + (y - x) * pow_p[moved])
-        disk_parts.append(moved)
-    return (
-        np.concatenate(pos_parts),
-        np.concatenate(nbr_parts),
-        np.concatenate(disk_parts),
-    )
+    scale = np.append(_powers(p, n), 0)  # scale[n] = 0: the sentinel moves nothing
+    for x in range(p):
+        for y in range(x + 1, p):
+            moved = np.minimum(tops[x], tops[y])
+            yield moved, np.where(tops[x] < tops[y], y - x, x - y) * scale[moved]
 
 
 def _expand(
@@ -253,20 +240,18 @@ def _expand(
     depth: int,
     dist: np.ndarray,
     tables: tuple[int, np.ndarray, np.ndarray],
-    pow_p: np.ndarray,
+    p: int,
+    n: int,
 ) -> np.ndarray:
     """The states one move from ``frontier`` that ``dist`` has not seen,
-    each once, marked ``depth + 1`` in ``dist``.
-
-    Within one ordered peg pair (x, y) a neighbour has a single source (move
-    its top disk on y back to x), so a pair emits no duplicates; marking
-    each pair's new states before the next pair looks keeps them out of
-    every later pair, so the level needs no sort or dedupe pass.
-    """
+    each once, marked ``depth + 1`` in ``dist``.  No pair emits a state
+    twice (``_pair_moves``), and marking a pair's states before the next
+    pair keeps them out of later pairs; self-loops land on the frontier,
+    which is seen."""
     tops = _tops(frontier, *tables)
-    parts = [np.empty(0, dtype=np.int64)]
-    for x, y, idx in _moves(tops):
-        nbrs = frontier[idx] + (y - x) * pow_p[tops[x, idx]]
+    parts = []
+    for _, step in _pair_moves(tops, p, n):
+        nbrs = frontier + step
         nbrs = nbrs[dist[nbrs] < 0]
         dist[nbrs] = depth + 1
         parts.append(nbrs)
@@ -320,7 +305,6 @@ def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
     half_states = p ** (n // 2) + p ** (n - n // 2)
     half_bytes = (p + 8 * mirrored) * half_states  # int8 tops, int64 mirror ranks
     _check_memory(len(ends) * size * 4 + half_bytes, "distance search")
-    pow_p = _powers(p, n)
     tables = _top_tables(p, n)
     if mirrored:
         mirror_split, mirror_low, mirror_high = _mirror_tables(sigma, p, n)
@@ -338,7 +322,7 @@ def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
             if best is not None:
                 return best
             raise RuntimeError("frontier died before the sweeps met; the graph should be connected")
-        fresh = _expand(frontiers[side], depths[side], dists[side], tables, pow_p)
+        fresh = _expand(frontiers[side], depths[side], dists[side], tables, p, n)
         frontiers[side] = fresh
         depths[side] += 1
         if mirrored:
@@ -364,24 +348,22 @@ def exact_H(p: int, n: int, cap: int | None = None) -> int:
 
 
 def _adjacency(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The configuration graph as two padded ``(p**n, D)`` tables, built by
-    one ``_edges`` call over every configuration rank.
+    """The configuration graph as two ``(p**n, p(p-1)/2)`` int64 tables,
+    one column per unordered peg pair (see ``_pair_moves``).
 
-    Row c holds c's neighbour ranks and, in the same slots, the bit of the
-    disk each move moves.  D is the largest degree; shorter rows are padded
-    with self-loops that move nothing (bit 0).
+    Row c holds, in column k, the neighbour rank that pair k's move leads
+    to and the bit of the disk it moves.  A pair whose pegs are both empty
+    holds a self-loop that moves nothing (bit 0).
     """
     size = p**n
-    pos, nbr, disk = _edges(np.arange(size, dtype=np.int64), p, n, _powers(p, n))
-    degree = np.bincount(pos, minlength=size)
-    order = np.argsort(pos, kind="stable")
-    pos = pos[order]
-    slot = np.arange(pos.size) - (np.cumsum(degree) - degree)[pos]
-    width = int(degree.max())
-    nbr_table = np.repeat(np.arange(size, dtype=np.int64)[:, None], width, axis=1)
-    bit_table = np.zeros((size, width), dtype=np.int64)
-    nbr_table[pos, slot] = nbr[order]
-    bit_table[pos, slot] = np.int64(1) << disk[order]
+    ranks = np.arange(size, dtype=np.int64)
+    tops = _tops(ranks, *_top_tables(p, n))
+    nbr_table = np.empty((size, p * (p - 1) // 2), dtype=np.int64)
+    bit_table = np.empty_like(nbr_table)
+    disks = (1 << n) - 1  # masks the sentinel's bit 1 << n to 0
+    for k, (moved, step) in enumerate(_pair_moves(tops, p, n)):
+        nbr_table[:, k] = ranks + step
+        bit_table[:, k] = (np.int64(1) << moved) & disks
     return nbr_table, bit_table
 
 
@@ -402,7 +384,7 @@ def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
     edges, so plain BFS is level-exact.
 
     Successors come from one adjacency table per call (see ``_adjacency``):
-    a level is a single gather, with no per-state digit extraction.  One
+    a level is a single gather, with no per-state top-disk lookup.  One
     byte per product state marks it unseen (0), seen (1) or new this
     level (2).  A level's unseen successors are deduplicated by marking
     them 2 and scanning their rank window for 2s when that window is under
@@ -419,7 +401,7 @@ def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
         raise CapExceededError(
             f"essential-path search over {product} product states exceeds the cap {cap_value}"
         )
-    adjacency_bytes = 2 * size * (p * (p - 1) // 2) * 8  # two int64 tables, at most D slots
+    adjacency_bytes = 2 * size * (p * (p - 1) // 2) * 8  # two int64 tables, one slot per peg pair
     _check_memory(product + adjacency_bytes, "essential-path search")
     nbr_table, bit_table = _adjacency(p, n)
     full_floor = ((1 << n) - 1) * size  # states at or above this have every bit set

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -151,6 +152,17 @@ def test_dp_lower_bounds_row_consistency():
     row = dp_lower_bounds(6, 50)
     for n in range(51):
         assert row[n] == dp_lower_bound(6, n)
+
+
+def test_dp_lower_bound_at_four_pegs_reads_the_formula_row():
+    row = dp_lower_bounds(4, 300)
+    for n in range(301):
+        assert dp_lower_bound(4, n) == row[n]
+    # no row of 10**8 values: this used to take minutes and run out of memory
+    start = time.perf_counter()
+    report = build_report(4, 10**8)
+    assert time.perf_counter() - start < 1.0
+    assert report.dp_lower == report.gamma_formula
 
 
 def test_dp_nondecreasing_and_above_trivial():

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from hanoi_bounds import cli
-from hanoi_bounds.cache import ResultCache
+from hanoi_bounds.cache import ENGINE_VERSION, ResultCache
 from hanoi_bounds.core import path_from_json_dict
 from hanoi_bounds.frame_stewart import phi_spectrum
 
@@ -47,6 +47,22 @@ def test_phi_prints_past_the_int_digit_limit(capsys):
     sys.set_int_max_str_digits(0)
     try:
         assert out.strip() == str(phi_spectrum(4, 200_000_000))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_phi_too_large_to_build_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "phi", "--pegs", "8", "--disks", str(10**100))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "MAX_PHI_EXPONENT" in err
+    # the largest Phi the benchmark asks for, 13,467 digits, still prints
+    code, out, _ = run(capsys, "phi", "--pegs", "4", "--disks", str(10**9))
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out.strip() == str(phi_spectrum(4, 10**9))
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -222,10 +238,11 @@ def test_verify_populates_and_reuses_cache(capsys, cache_dir):
     cache_file = cache_dir / "results.json"
     assert cache_file.exists()
     entries = json.loads(cache_file.read_text())["entries"]
-    assert entries["gamma:p4:n4:e3"] == 4
+    key = f"gamma:p4:n4:e{ENGINE_VERSION}"
+    assert entries[key] == 4
     # a poisoned cache value is trusted (advisory store, bypassed by --no-cache)
-    entries["gamma:p4:n4:e3"] = 999
-    cache_file.write_text(json.dumps({"engine": 3, "entries": entries}))
+    entries[key] = 999
+    cache_file.write_text(json.dumps({"engine": ENGINE_VERSION, "entries": entries}))
     code, out, _ = run(capsys, "verify", "--suite", "main1", "--max-disks", "4")
     assert code == 1
     assert "FAIL gamma(4,4)" in out
@@ -240,7 +257,7 @@ def test_result_cache_survives_corrupt_file(tmp_path):
     assert cache.get("H", 4, 4) is None
     cache.put("H", 4, 4, 9)
     cache.save()
-    assert json.loads(target.read_text())["entries"] == {"H:p4:n4:e3": 9}
+    assert json.loads(target.read_text())["entries"] == {f"H:p4:n4:e{ENGINE_VERSION}": 9}
 
 
 def test_result_cache_save_prunes_other_engine_versions(tmp_path):
@@ -251,7 +268,7 @@ def test_result_cache_save_prunes_other_engine_versions(tmp_path):
     assert cache.get("H", 4, 4) is None
     cache.put("gamma", 4, 4, 4)
     cache.save()
-    assert json.loads(target.read_text())["entries"] == {"gamma:p4:n4:e3": 4}
+    assert json.loads(target.read_text())["entries"] == {f"gamma:p4:n4:e{ENGINE_VERSION}": 4}
 
 
 def test_result_cache_save_merges_concurrent_writers(tmp_path):

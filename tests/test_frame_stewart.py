@@ -2,6 +2,7 @@ import pytest
 
 from hanoi_bounds.core import Configuration, is_essential
 from hanoi_bounds.frame_stewart import (
+    MAX_PHI_EXPONENT,
     best_split,
     frame_stewart_path,
     phi4_closed,
@@ -35,6 +36,15 @@ def test_phi_recursive_rejects_bad_arguments():
         phi_closed(2, 3)
     with pytest.raises(ValueError):
         phi_closed(4, -1)
+
+
+def test_phi_closed_refuses_past_the_exponent_limit():
+    with pytest.raises(ValueError, match="MAX_PHI_EXPONENT"):
+        phi_closed(8, 10**100)
+    # at 3 pegs m = n, so the limit falls exactly between these two
+    assert phi_closed(3, MAX_PHI_EXPONENT) == (1 << MAX_PHI_EXPONENT) - 1
+    with pytest.raises(ValueError, match="MAX_PHI_EXPONENT"):
+        phi_closed(3, MAX_PHI_EXPONENT + 1)
 
 
 @pytest.mark.parametrize("p, n, expected", [(4, 4, 9), (3, 5, 31), (4, 1, 1), (4, 0, 0)])

@@ -226,7 +226,7 @@ def test_top_tables_match_top_disks():
 def test_vectorized_neighbors_match_legal_moves():
     import numpy as np
 
-    from hanoi_bounds.state_space import _edges, _powers
+    from hanoi_bounds.state_space import _pair_moves, _top_tables, _tops
 
     rng = random.Random(31)
     for _ in range(40):
@@ -234,11 +234,35 @@ def test_vectorized_neighbors_match_legal_moves():
         n = rng.randint(1, 6)
         c = random_config(rng, p, n)
         ranks = np.array([c.rank()], dtype=np.int64)
-        _, nbrs, disks = _edges(ranks, p, n, _powers(p, n))
+        tops = _tops(ranks, *_top_tables(p, n))
+        pairs = [(int(moved[0]), int(step[0])) for moved, step in _pair_moves(tops, p, n)]
+        assert len(pairs) == p * (p - 1) // 2
+        # a pair moves nothing exactly when both its pegs are empty
+        assert all((disk == n) == (step == 0) for disk, step in pairs)
+        emitted = sorted((c.rank() + step, disk) for disk, step in pairs if disk < n)
         via_moves = sorted(
             (apply_move(c, m).rank(), m.disk) for m in legal_moves(c)
         )
-        assert sorted(zip(nbrs.tolist(), disks.tolist())) == via_moves
+        assert emitted == via_moves
+
+
+def test_pair_moves_undo_themselves():
+    import numpy as np
+
+    from hanoi_bounds.state_space import _pair_moves, _top_tables, _tops
+
+    rng = random.Random(37)
+    for p in range(3, 9):
+        for n in range(1, 7):
+            tables = _top_tables(p, n)
+            ranks = np.array([rng.randrange(p**n) for _ in range(60)], dtype=np.int64)
+            forward = list(_pair_moves(_tops(ranks, *tables), p, n))
+            for k, (moved, step) in enumerate(forward):
+                nbrs = ranks + step
+                back = list(_pair_moves(_tops(nbrs, *tables), p, n))
+                back_moved, back_step = back[k]
+                assert np.array_equal(nbrs + back_step, ranks), (p, n, k)
+                assert np.array_equal(back_moved, moved), (p, n, k)
 
 
 def test_adjacency_rows_match_legal_moves():
