@@ -30,8 +30,8 @@ __all__ = [
     "transfer_moves",
 ]
 
-# The largest m = nabla(p, n), about Phi(p, n)'s bit count, that phi_closed
-# shifts by: a longer Phi takes over 2 MB and minutes to print in decimal, and
+# The largest m = nabla(p, n), about Phi(p, n)'s bit count, that any Phi route
+# builds: a longer Phi takes over 2 MB and minutes to print in decimal, and
 # n = 10**100 at 8 pegs would exhaust memory.  Phi(4, 10**9) has m = 44,720.
 MAX_PHI_EXPONENT = 1 << 24
 
@@ -41,6 +41,18 @@ def _check_args(p: int, n: int) -> None:
         raise ValueError(f"peg count must be at least 3, got {p}")
     if n < 0:
         raise ValueError(f"disk count must be nonnegative, got {n}")
+
+
+def _exponent(p: int, n: int) -> int:
+    """m = nabla(p, n), Phi(p, n)'s top exponent; ValueError past
+    MAX_PHI_EXPONENT, before any route builds a number that long."""
+    m = nabla(p, n)
+    if m > MAX_PHI_EXPONENT:
+        raise ValueError(
+            f"Phi({p}, n) has about nabla({p}, n) = {m} bits, "
+            f"more than MAX_PHI_EXPONENT = {MAX_PHI_EXPONENT}"
+        )
+    return m
 
 
 @lru_cache(maxsize=None)
@@ -61,8 +73,12 @@ def phi_recursive(p: int, n: int) -> int:
     """Phi(p, n) straight from the minimization recurrence, memoized.
 
     Base data: Phi(p, 0) = 0, Phi(p, 1) = 1, Phi(3, n) = 2**n - 1.
+    Raises ValueError when n exceeds MAX_PHI_EXPONENT, since the 3-peg
+    base case builds 2**n - 1.
     """
     _check_args(p, n)
+    if n > MAX_PHI_EXPONENT:
+        raise ValueError(f"phi_recursive needs n <= MAX_PHI_EXPONENT = {MAX_PHI_EXPONENT}, got {n}")
     return _phi_rec(p, n)
 
 
@@ -72,8 +88,11 @@ def phi_spectrum(p: int, n: int) -> int:
     Consecutive k share the same bracket-inverse value, so the sum is taken
     block by block: all k with nabla(p, k) = j form the interval
     [delta(p, j), delta(p, j+1)).  Cost is O(nabla(p, n)) big-int terms.
+    Raises ValueError, before summing, when nabla(p, n) exceeds
+    MAX_PHI_EXPONENT.
     """
     _check_args(p, n)
+    _exponent(p, n)
     total = 0
     j = 0
     while delta(p, j) < n:
@@ -93,12 +112,7 @@ def phi_closed(p: int, n: int) -> int:
     Raises ValueError, before shifting, when m exceeds MAX_PHI_EXPONENT.
     """
     _check_args(p, n)
-    m = nabla(p, n)
-    if m > MAX_PHI_EXPONENT:
-        raise ValueError(
-            f"Phi({p}, n) has about nabla({p}, n) = {m} bits, "
-            f"more than MAX_PHI_EXPONENT = {MAX_PHI_EXPONENT}"
-        )
+    m = _exponent(p, n)
     f_m = 0
     for k in range(p - 2):  # Horner: the C(., k) term ends up times (-2)**(p-3-k)
         f_m = comb(m + p - 3, k) - 2 * f_m

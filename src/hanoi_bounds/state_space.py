@@ -3,7 +3,7 @@
 Configurations are ranked as integers (rank = sum of peg * p**disk) and
 searched with level-synchronous breadth-first sweeps over numpy arrays:
 frontiers are flat rank arrays, visit tables are dense per-state arrays
-(one byte or one int32 per state).  Results are deterministic functions of
+(one bool or one int32 per state).  Results are deterministic functions of
 the inputs regardless of expansion order, because each sweep finishes a
 whole level before testing for termination.
 
@@ -29,13 +29,12 @@ u with its pegs relabeled by an involution sigma, as for exact_H's
 all-on-0 and all-on-(p-1)), the sweep from v is the sweep from u
 mirrored, so only one sweep runs, over one table.
 
-``exact_gamma`` instead builds the whole configuration graph once as an
-adjacency table of fixed width p(p-1)/2, one slot per peg pair holding
-the neighbour rank and the moved disk's bit, so each level is one
-gather.  Its byte per product state reads 0 (unseen), 1 (seen) or 2 (new
-this level); a level's new states are collected by scanning their rank
-window for 2s when the window is narrow against their count, and by
-sorting them otherwise.
+``exact_gamma`` tabulates each peg pair's rank step and moved-disk bit
+once, then expands a level pair by pair over a bool seen table.  A pair
+leads two product states to one successor only as twins (mask, c) and
+(mask | bit, c), and twins fall on either side of the split between
+sources whose move sets no new bit and those whose move sets one; with
+the two sides expanded and marked in turn, no level needs a dedupe.
 
 Caps bound the state counts a search may touch.  Exceeding a cap raises
 CapExceededError, never a silent truncation.  Defaults can be overridden
@@ -348,29 +347,45 @@ def exact_H(p: int, n: int, cap: int | None = None) -> int:
 
 
 def _adjacency(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The configuration graph as two ``(p**n, p(p-1)/2)`` int64 tables,
-    one column per unordered peg pair (see ``_pair_moves``).
+    """The configuration graph as two ``(p(p-1)/2, p**n)`` int64 tables,
+    one row per unordered peg pair (see ``_pair_moves``).
 
-    Row c holds, in column k, the neighbour rank that pair k's move leads
-    to and the bit of the disk it moves.  A pair whose pegs are both empty
-    holds a self-loop that moves nothing (bit 0).
+    Column c holds, in row k, the rank step of pair k's move from c and
+    the bit of the disk it moves.  A pair whose pegs are both empty holds
+    a self-loop that moves nothing (step 0, bit 0).
     """
-    size = p**n
-    ranks = np.arange(size, dtype=np.int64)
-    tops = _tops(ranks, *_top_tables(p, n))
-    nbr_table = np.empty((size, p * (p - 1) // 2), dtype=np.int64)
-    bit_table = np.empty_like(nbr_table)
+    tops = _tops(np.arange(p**n, dtype=np.int64), *_top_tables(p, n))
+    steps = np.empty((p * (p - 1) // 2, p**n), dtype=np.int64)
+    bits = np.empty_like(steps)
     disks = (1 << n) - 1  # masks the sentinel's bit 1 << n to 0
     for k, (moved, step) in enumerate(_pair_moves(tops, p, n)):
-        nbr_table[:, k] = ranks + step
-        bit_table[:, k] = (np.int64(1) << moved) & disks
-    return nbr_table, bit_table
+        steps[k] = step
+        bits[k] = (np.int64(1) << moved) & disks
+    return steps, bits
 
 
-# Scan a level's rank window when it has under this many slots per new state,
-# else sort; at 32, exact_gamma(4, 9) sorted every level and took 3.6x longer.
-_SCAN_FACTOR = 128
-_SEEN, _NEW = 1, 2
+def _expand_product(
+    frontier: np.ndarray, seen: np.ndarray, steps: np.ndarray, bits: np.ndarray, size: int
+) -> np.ndarray:
+    """The product states one move from ``frontier`` that ``seen`` has not
+    seen, each once, marked in ``seen``: per pair, the sources whose move
+    sets no new bit (self-loops among them) and those whose move sets one
+    are expanded and marked in turn, so only one of two twins emits."""
+    mask, cfg = np.divmod(frontier, size)
+    unset = ~mask
+    parts = []
+    for step_row, bit_row in zip(steps, bits):
+        nbrs = bit_row.take(cfg)
+        nbrs &= unset  # the bit the move sets, 0 where it sets none
+        sets = nbrs != 0
+        nbrs *= size
+        nbrs += frontier
+        nbrs += step_row.take(cfg)
+        for group in (nbrs[~sets], nbrs[sets]):
+            group = group[~seen[group]]
+            seen[group] = True
+            parts.append(group)
+    return np.concatenate(parts)
 
 
 def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
@@ -383,13 +398,10 @@ def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
     is the first level containing a full mask.  Masks only grow along
     edges, so plain BFS is level-exact.
 
-    Successors come from one adjacency table per call (see ``_adjacency``):
-    a level is a single gather, with no per-state top-disk lookup.  One
-    byte per product state marks it unseen (0), seen (1) or new this
-    level (2).  A level's unseen successors are deduplicated by marking
-    them 2 and scanning their rank window for 2s when that window is under
-    ``_SCAN_FACTOR`` slots per new state, and by ``np.unique`` otherwise;
-    either way the next frontier comes out sorted and marked 1.
+    Successors come from one step and one bit table per call (see
+    ``_adjacency``), and a bool table marks the product states seen.
+    ``_expand_product`` expands a level one peg pair at a time and emits
+    each unseen successor once, so no level is sorted or deduplicated.
     """
     _check_limits(p, n)
     if n == 0:
@@ -401,32 +413,18 @@ def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
         raise CapExceededError(
             f"essential-path search over {product} product states exceeds the cap {cap_value}"
         )
-    adjacency_bytes = 2 * size * (p * (p - 1) // 2) * 8  # two int64 tables, one slot per peg pair
+    adjacency_bytes = 2 * size * (p * (p - 1) // 2) * 8  # two int64 tables, one row per peg pair
     _check_memory(product + adjacency_bytes, "essential-path search")
-    nbr_table, bit_table = _adjacency(p, n)
-    full_floor = ((1 << n) - 1) * size  # states at or above this have every bit set
-    marks = np.zeros(product, dtype=np.uint8)
-    marks[:size] = _SEEN
+    steps, bits = _adjacency(p, n)
+    seen = np.zeros(product, dtype=bool)
+    seen[:size] = True
     frontier = np.arange(size, dtype=np.int64)
     depth = 0
     while frontier.size:
-        mask, cfg = np.divmod(frontier, size)
-        states = ((mask[:, None] | bit_table[cfg]) * size + nbr_table[cfg]).ravel()
-        states = states[marks[states] == 0]
+        frontier = _expand_product(frontier, seen, steps, bits, size)
         depth += 1
-        if not states.size:
-            break
-        lo, hi = int(states.min()), int(states.max())
-        if hi >= full_floor:
+        if seen[((1 << n) - 1) * size :].any():  # the top band holds the full masks
             return depth
-        if hi - lo < _SCAN_FACTOR * states.size:
-            marks[states] = _NEW
-            window = marks[lo : hi + 1]
-            frontier = lo + np.flatnonzero(window == _NEW)
-            np.minimum(window, _SEEN, out=window)
-        else:
-            frontier = np.unique(states)
-            marks[frontier] = _SEEN
     raise RuntimeError("search exhausted without moving every disk; this cannot happen")
 
 

@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import time
 
 import pytest
 
@@ -52,10 +53,17 @@ def test_phi_prints_past_the_int_digit_limit(capsys):
 
 
 def test_phi_too_large_to_build_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "phi", "--pegs", "8", "--disks", str(10**100))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "MAX_PHI_EXPONENT" in err
+    # every route refuses before building: recursive's 3-peg base case
+    # would overflow, spectrum's sum would run for ever
+    for method in ("closed", "recursive", "spectrum", "all"):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "phi", "--pegs", "8", "--disks", str(10**100), "--method", method
+        )
+        assert time.perf_counter() - start < 1, method
+        assert code == 2, method
+        assert out == ""
+        assert err.startswith("error: ") and "MAX_PHI_EXPONENT" in err
     # the largest Phi the benchmark asks for, 13,467 digits, still prints
     code, out, _ = run(capsys, "phi", "--pegs", "4", "--disks", str(10**9))
     assert code == 0

@@ -272,17 +272,67 @@ def test_adjacency_rows_match_legal_moves():
 
     rng = random.Random(53)
     for p, n in ((3, 1), (3, 5), (4, 4), (5, 3), (6, 3), (8, 2)):
-        nbrs, bits = _adjacency(p, n)
-        assert nbrs.shape == bits.shape
-        assert nbrs.shape[1] <= p * (p - 1) // 2
+        steps, bits = _adjacency(p, n)
+        assert steps.shape == bits.shape == (p * (p - 1) // 2, p**n)
         for _ in range(15):
             c = random_config(rng, p, n)
-            row = sorted(zip(nbrs[c.rank()].tolist(), bits[c.rank()].tolist()))
+            # row k is pair k: the neighbour is c + step, the moved disk's bit
+            column = sorted(
+                (c.rank() + int(step), int(bit))
+                for step, bit in zip(steps[:, c.rank()], bits[:, c.rank()])
+            )
             moves = sorted((apply_move(c, m).rank(), 1 << m.disk) for m in legal_moves(c))
-            padding = [(c.rank(), 0)] * (nbrs.shape[1] - len(moves))
-            assert row == sorted(moves + padding)
-        # every slot that moves no disk is a padding self-loop, and only those
-        assert np.array_equal(bits == 0, nbrs == np.arange(p**n)[:, None])
+            padding = [(c.rank(), 0)] * (steps.shape[0] - len(moves))
+            assert column == sorted(moves + padding)
+        # a slot moves nothing exactly when its step and its bit are 0
+        assert np.array_equal(bits == 0, steps == 0)
+
+
+def test_one_level_emits_every_unseen_neighbour_once():
+    # repeats only cost time, so the differential tests cannot see them:
+    # both searches' level steps must emit each unseen successor exactly once
+    import numpy as np
+
+    from hanoi_bounds.state_space import _adjacency, _expand, _expand_product, _top_tables
+
+    rng = random.Random(67)
+    for _ in range(60):
+        p = rng.randint(3, 5)
+        n = rng.randint(1, 4)
+        size = p**n
+        # distance: frontier states are seen, as in a sweep
+        frontier = rng.sample(range(size), rng.randint(1, size))
+        seen = set(frontier) | set(rng.sample(range(size), rng.randint(0, size)))
+        dist = np.full(size, -1, dtype=np.int32)
+        dist[sorted(seen)] = 0
+        fresh = _expand(np.array(frontier, dtype=np.int64), 0, dist, _top_tables(p, n), p, n)
+        expected = set()
+        for r in frontier:
+            c = Configuration.from_rank(p, n, r)
+            expected |= {apply_move(c, m).rank() for m in legal_moves(c)}
+        expected -= seen
+        assert len(fresh) == len(set(fresh.tolist())), (p, n)
+        assert set(fresh.tolist()) == expected, (p, n)
+        assert set(np.flatnonzero(dist == 1).tolist()) == expected
+        # exact_gamma: random masks, so twins (mask, c) and (mask | bit, c)
+        # share a frontier
+        product = size << n
+        frontier = rng.sample(range(product), rng.randint(1, product))
+        seen = set(frontier) | set(rng.sample(range(product), rng.randint(0, product)))
+        table = np.zeros(product, dtype=bool)
+        table[sorted(seen)] = True
+        steps, bits = _adjacency(p, n)
+        fresh = _expand_product(np.array(frontier, dtype=np.int64), table, steps, bits, size)
+        expected = set()
+        for state in frontier:
+            mask, r = divmod(state, size)
+            c = Configuration.from_rank(p, n, r)
+            for m in legal_moves(c):
+                expected.add((mask | 1 << m.disk) * size + apply_move(c, m).rank())
+        expected -= seen
+        assert len(fresh) == len(set(fresh.tolist())), (p, n)
+        assert set(fresh.tolist()) == expected, (p, n)
+        assert set(np.flatnonzero(table).tolist()) == seen | expected
 
 
 def test_distance_cap():
@@ -325,7 +375,7 @@ def test_exact_gamma_values(p, n, expected):
     assert exact_gamma(p, n) == expected
 
 
-def test_exact_gamma_agrees_with_pure_python_product_bfs(monkeypatch):
+def test_exact_gamma_agrees_with_pure_python_product_bfs():
     # independent oracle: dictionary BFS over (configuration, moved-mask)
     # pairs, expanded with the pure-Python move rules
     from collections import deque
@@ -352,14 +402,9 @@ def test_exact_gamma_agrees_with_pure_python_product_bfs(monkeypatch):
                     queue.append((nxt, key[1], depth + 1))
         raise AssertionError("unreachable")
 
-    # factor 0 sorts every level and 2**62 scans every level's window, so
-    # both dedupe branches meet the oracle on every size, as does the default
     cases = [(3, n) for n in range(7)] + [(4, n) for n in range(6)] + [(5, n) for n in range(4)]
     for p, n in cases:
-        expected = plain_gamma(p, n)
-        for factor in (0, state_space._SCAN_FACTOR, 2**62):
-            monkeypatch.setattr(state_space, "_SCAN_FACTOR", factor)
-            assert exact_gamma(p, n) == expected, (p, n, factor)
+        assert exact_gamma(p, n) == plain_gamma(p, n), (p, n)
     assert plain_gamma(3, 4) == 5
 
 
