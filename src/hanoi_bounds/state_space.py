@@ -2,10 +2,10 @@
 
 Configurations are ranked as integers (rank = sum of peg * p**disk) and
 searched with level-synchronous breadth-first sweeps over numpy arrays:
-frontiers are flat rank arrays, visit tables are dense per-state arrays
-(one bool or one int32 per state).  Results are deterministic functions of
-the inputs regardless of expansion order, because each sweep finishes a
-whole level before testing for termination.
+frontiers are flat rank arrays, and each sweep's seen table holds one bool
+per state.  Results are deterministic functions of the inputs regardless
+of expansion order, because each sweep finishes a whole level before
+testing for termination.
 
 Top disks come from lookup tables, not from per-state digits: a rank is
 split into its low n // 2 disks and its high disks, and two small tables
@@ -21,13 +21,13 @@ pair moves the same disk back, so one pair never leads two states to the
 same neighbour.
 
 ``distance`` expands a level one peg pair at a time, dropping the
-neighbours its int32 table has already seen (self-loops among them) and
-marking the rest at once.  Marking before the next pair keeps a pair's
-new states out of the others, and no pair repeats one, so a level needs
-no sort and no dedupe pass.  When the endpoints are mirror images (v is
-u with its pegs relabeled by an involution sigma, as for exact_H's
-all-on-0 and all-on-(p-1)), the sweep from v is the sweep from u
-mirrored, so only one sweep runs, over one table.
+neighbours its seen table holds (self-loops among them) and marking the
+rest at once.  Marking before the next pair keeps a pair's new states
+out of the others, and no pair repeats one, so a level needs no sort and
+no dedupe pass.  The sweeps stop at their first meeting, which is exact,
+so no table holds depths.  When v is u with its pegs relabeled by an
+involution sigma (exact_H's all-on-0 and all-on-(p-1) are), v's sweep
+is u's mirrored, so only u's runs, over one table.
 
 ``exact_gamma`` tabulates each peg pair's rank step and moved-disk bit
 once, then expands a level pair by pair over a bool seen table.  A pair
@@ -100,6 +100,8 @@ def _cap(cap: int | None, env_name: str, default: int) -> int:
     """The per-call cap, else the environment's, else the default, clamped
     to 2**62 so larger searches are refused before anything is allocated."""
     value = cap if cap is not None else _cap_from_env(env_name, default)
+    if value < 1:
+        raise ValueError(f"a cap must be at least 1, got {value}")
     return min(value, _MAX_SUPPORTED_CAP)
 
 
@@ -236,23 +238,22 @@ def _pair_moves(tops: np.ndarray, p: int, n: int):
 
 def _expand(
     frontier: np.ndarray,
-    depth: int,
-    dist: np.ndarray,
+    seen: np.ndarray,
     tables: tuple[int, np.ndarray, np.ndarray],
     p: int,
     n: int,
 ) -> np.ndarray:
-    """The states one move from ``frontier`` that ``dist`` has not seen,
-    each once, marked ``depth + 1`` in ``dist``.  No pair emits a state
-    twice (``_pair_moves``), and marking a pair's states before the next
-    pair keeps them out of later pairs; self-loops land on the frontier,
-    which is seen."""
+    """The states one move from ``frontier`` that ``seen`` has not seen,
+    each once, marked in ``seen``.  No pair emits a state twice
+    (``_pair_moves``), and marking a pair's states before the next pair
+    keeps them out of later pairs; self-loops land on the frontier, which
+    is seen."""
     tops = _tops(frontier, *tables)
     parts = []
     for _, step in _pair_moves(tops, p, n):
         nbrs = frontier + step
-        nbrs = nbrs[dist[nbrs] < 0]
-        dist[nbrs] = depth + 1
+        nbrs = nbrs[~seen[nbrs]]
+        seen[nbrs] = True
         parts.append(nbrs)
     return np.concatenate(parts)
 
@@ -281,12 +282,17 @@ def _mirror_tables(sigma: list[int], p: int, n: int) -> tuple[int, np.ndarray, n
 def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
     """Exact shortest-move distance between two configurations.
 
-    Bidirectional level-synchronous BFS over integer-ranked states; the
-    two sweeps alternate, always growing the smaller frontier.  When v is
-    u with its pegs relabeled by an involution sigma, d(v, s) = d(u,
-    sigma(s)), so the sweep from v is the sweep from u mirrored: only the
-    sweep from u runs, with one table, and reads v's depth of s at
-    sigma(s).
+    Bidirectional level-synchronous BFS, one bool seen table per sweep,
+    always growing the smaller frontier; it returns depth_u + depth_v at
+    the first level whose fresh states the other sweep has seen.  No level
+    met before, so the balls of radius depth_u - 1 around u and depth_v
+    around v are disjoint, and the meeting state joins a path that long.
+
+    When v is u with its pegs relabeled by an involution sigma, d(v, s) =
+    d(u, sigma(s)): only u's sweep runs, and v's is it read through sigma,
+    strictly alternating.  Once u's reaches level k, v's level k - 1 meets
+    it if any of its states is seen (2k - 1 moves); else v's reaches level
+    k, sigma of u's, and meets it if any of those is seen (2k).
     """
     if (u.p, u.n) != (v.p, v.n):
         raise ValueError("configurations must share peg and disk counts")
@@ -303,37 +309,30 @@ def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
     ends = [u] if mirrored else [u, v]
     half_states = p ** (n // 2) + p ** (n - n // 2)
     half_bytes = (p + 8 * mirrored) * half_states  # int8 tops, int64 mirror ranks
-    _check_memory(len(ends) * size * 4 + half_bytes, "distance search")
+    _check_memory(len(ends) * size + half_bytes, "distance search")
     tables = _top_tables(p, n)
+    seens = [np.zeros(size, dtype=bool) for _ in ends]
+    frontiers = [np.array([end.rank()], dtype=np.int64) for end in ends]
+    for seen, frontier in zip(seens, frontiers):
+        seen[frontier] = True
     if mirrored:
         mirror_split, mirror_low, mirror_high = _mirror_tables(sigma, p, n)
-    dists = [np.full(size, -1, dtype=np.int32) for _ in ends]
-    frontiers = [np.array([end.rank()], dtype=np.int64) for end in ends]
-    for dist, frontier in zip(dists, frontiers):
-        dist[frontier] = 0
-    depths = [0, 0]
-    best: int | None = None
-    # Once best <= depth_u + depth_v + 1, any undiscovered path would need a
-    # node beyond both explored balls and be strictly longer.
-    while best is None or best > depths[0] + depths[1] + 1:
-        side = 0 if mirrored or frontiers[0].size <= frontiers[1].size else 1
-        if frontiers[side].size == 0:
-            if best is not None:
-                return best
-            raise RuntimeError("frontier died before the sweeps met; the graph should be connected")
-        fresh = _expand(frontiers[side], depths[side], dists[side], tables, p, n)
-        frontiers[side] = fresh
-        depths[side] += 1
-        if mirrored:
-            depths[1] = depths[0]  # v's sweep is u's, mapped by sigma
-            high_ranks, low_ranks = np.divmod(fresh, mirror_split)
-            other = dists[0][mirror_low[low_ranks] + mirror_high[high_ranks]]
-        else:
-            other = dists[1 - side][fresh]
-        met = other[other >= 0]  # -1: not yet reached from the other end
-        if met.size and (best is None or depths[side] + int(met.min()) < best):
-            best = depths[side] + int(met.min())
-    return best
+        images = np.array([v.rank()], dtype=np.int64)  # sigma of u's previous level
+        for depth in range(1, size):
+            frontiers[0] = _expand(frontiers[0], seens[0], tables, p, n)
+            if seens[0][images].any():
+                return 2 * depth - 1
+            high_ranks, low_ranks = np.divmod(frontiers[0], mirror_split)
+            images = mirror_low[low_ranks] + mirror_high[high_ranks]
+            if seens[0][images].any():
+                return 2 * depth
+    else:
+        for depth in range(1, size):  # depth_u + depth_v: each step grows one
+            side = 0 if frontiers[0].size <= frontiers[1].size else 1
+            frontiers[side] = _expand(frontiers[side], seens[side], tables, p, n)
+            if seens[1 - side][frontiers[side]].any():
+                return depth
+    raise RuntimeError("the sweeps never met; the graph should be connected")
 
 
 def exact_H(p: int, n: int, cap: int | None = None) -> int:

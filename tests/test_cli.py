@@ -185,6 +185,22 @@ def test_distance_cap_exit_code(capsys):
     assert "cap" in err.lower()
 
 
+def test_caps_below_one_are_usage_errors(capsys, cache_dir):
+    for cap in ("0", "-5"):
+        code, _, err = run(
+            capsys, "distance", "--pegs", "4", "--start", "0,0", "--end", "3,3",
+            "--state-cap", cap,
+        )
+        assert code == 2
+        assert "at least 1" in err
+    code, _, err = run(
+        capsys, "gamma", "--pegs", "4", "--disks", "3", "--exact", "--no-cache",
+        "--product-cap", "-1",
+    )
+    assert code == 2
+    assert "at least 1" in err
+
+
 def test_distance_past_the_search_limit_is_usage_error(capsys):
     code, _, err = run(capsys, "distance", "--pegs", "9", "--start", "0", "--end", "8")
     assert code == 2

@@ -189,6 +189,7 @@ def test_distance_agrees_with_pure_python_bfs():
     # an unrelated v the two-sided one
     rng = random.Random(59)
     two_sided = 0
+    mirrored_parities = set()
     for _ in range(60):
         p = rng.randint(3, 5)
         n = rng.randint(0, 5)
@@ -199,11 +200,16 @@ def test_distance_agrees_with_pure_python_bfs():
             sigma[pegs[k]], sigma[pegs[k + 1]] = pegs[k + 1], pegs[k]
         mirrored = Configuration(p, tuple(sigma[x] for x in u.pegs))
         assert _involution(u.pegs, mirrored.pegs, p) is not None
-        assert distance(u, mirrored) == plain_bfs(u, mirrored), (u, mirrored)
+        expected = plain_bfs(u, mirrored)
+        assert distance(u, mirrored) == expected, (u, mirrored)
+        if expected:  # 0 returns before any search
+            mirrored_parities.add(expected % 2)
         v = random_config(rng, p, n)
         two_sided += _involution(u.pegs, v.pegs, p) is None
         assert distance(u, v) == plain_bfs(u, v), (u, v)
     assert two_sided > 20
+    # the mirrored search stops on an odd level meeting or an even one
+    assert mirrored_parities == {0, 1}
 
 
 def test_top_tables_match_top_disks():
@@ -303,9 +309,9 @@ def test_one_level_emits_every_unseen_neighbour_once():
         # distance: frontier states are seen, as in a sweep
         frontier = rng.sample(range(size), rng.randint(1, size))
         seen = set(frontier) | set(rng.sample(range(size), rng.randint(0, size)))
-        dist = np.full(size, -1, dtype=np.int32)
-        dist[sorted(seen)] = 0
-        fresh = _expand(np.array(frontier, dtype=np.int64), 0, dist, _top_tables(p, n), p, n)
+        table = np.zeros(size, dtype=bool)
+        table[sorted(seen)] = True
+        fresh = _expand(np.array(frontier, dtype=np.int64), table, _top_tables(p, n), p, n)
         expected = set()
         for r in frontier:
             c = Configuration.from_rank(p, n, r)
@@ -313,7 +319,7 @@ def test_one_level_emits_every_unseen_neighbour_once():
         expected -= seen
         assert len(fresh) == len(set(fresh.tolist())), (p, n)
         assert set(fresh.tolist()) == expected, (p, n)
-        assert set(np.flatnonzero(dist == 1).tolist()) == expected
+        assert set(np.flatnonzero(table).tolist()) == seen | expected
         # exact_gamma: random masks, so twins (mask, c) and (mask | bit, c)
         # share a frontier
         product = size << n
@@ -439,8 +445,21 @@ def test_caps_above_two_to_the_62_are_clamped():
         exact_gamma(8, 20, cap=2**90)
 
 
+def test_caps_below_one_are_usage_errors(monkeypatch):
+    # as HANOI_STATE_CAP=0 is; before any search, not a cap exceeded
+    u, v = Configuration.all_on(3, 2, 0), Configuration(3, (1, 2))
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            distance(u, v, cap=cap)
+        with pytest.raises(ValueError, match="at least 1"):
+            exact_gamma(3, 2, cap=cap)
+    monkeypatch.setenv("HANOI_STATE_CAP", "0")
+    with pytest.raises(ValueError, match="HANOI_STATE_CAP"):
+        exact_H(3, 2)
+
+
 def test_tables_larger_than_physical_memory_are_refused():
-    # about 10 TB of product table and 4.4 TB of distance tables: legal under
+    # about 10 TB of product table and 550 GB of distance tables: legal under
     # the cap, refused from the byte count before anything is allocated
     with pytest.raises(CapExceededError, match="physical memory"):
         exact_gamma(5, 13, cap=2**62)
@@ -449,9 +468,9 @@ def test_tables_larger_than_physical_memory_are_refused():
 
 
 def test_memory_check_counts_the_tables_searched_and_the_cgroup_limit(monkeypatch):
-    # one int32 table of 4**8 states fits under the limit, two do not: the
+    # one bool table of 4**8 states fits under the limit, two do not: the
     # mirrored endpoints of exact_H search one table, an unrelated pair two
-    monkeypatch.setattr(state_space, "_cgroup_limit", lambda: 6 * 4**8)
+    monkeypatch.setattr(state_space, "_cgroup_limit", lambda: 2 * 4**8)
     assert exact_H(4, 8) == 33
     with pytest.raises(CapExceededError, match="cgroup memory limit"):
         distance(Configuration.all_on(4, 8, 0), Configuration(4, (1,) + (2,) * 7))
