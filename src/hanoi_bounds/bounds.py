@@ -19,6 +19,7 @@ from .numerics import decompose, nabla
 
 __all__ = [
     "BoundReport",
+    "MAX_DP_DISKS",
     "bound_report_from_json_dict",
     "build_report",
     "chen_shen_bound",
@@ -31,6 +32,10 @@ __all__ = [
     "gamma_upper_general",
     "main2_bound",
 ]
+
+# The largest n_max dp_lower_bounds builds rows for: at 10**6 disks its two
+# rows of bigints take about 250 MB, and 10**12 would exhaust memory.
+MAX_DP_DISKS = 10**6
 
 
 def chen_shen_bound(p: int, n: int) -> DyadicRational:
@@ -102,22 +107,38 @@ def dp_lower_bounds(p: int, n_max: int) -> list[int]:
     Base row: the exact 4-peg values.  Each row q >= 5 takes the best of
     the trivial bound n (every disk moves once), monotone restriction
     (dropping the largest disk cannot lengthen an essential path), and the
-    recursive halving bound over every split l.
+    recursive halving bound 2 * min(row[n - l], prev[l]) over every split l.
+
+    Every row is nondecreasing in n, so in l the term row[n - l] falls and
+    prev[l] rises, and the halving bound is largest at their crossing: l*,
+    the smallest l in [1, n - 1] with prev[l] >= row[n - l] (n if none),
+    gives row[n - l*] and l* - 1 gives prev[l* - 1].  As n grows row[n - l]
+    only grows, so l* never moves left and one pointer walks it: O(n_max)
+    per row and O(p * n_max) in all.  ``tests/test_bounds.py`` keeps the
+    loop over every split as the reference.
+
+    Raises ValueError, before building any row, when n_max exceeds
+    MAX_DP_DISKS.
     """
     if p < 4:
         raise ValueError(f"dp lower bound needs at least 4 pegs, got {p}")
     if n_max < 0:
         raise ValueError(f"disk count must be nonnegative, got {n_max}")
+    if n_max > MAX_DP_DISKS:
+        raise ValueError(f"dp lower bounds need at most MAX_DP_DISKS = {MAX_DP_DISKS} disks, got {n_max}")
     row = [gamma4_formula(n) for n in range(n_max + 1)]
     for q in range(5, p + 1):
         prev = row
         row = [0] * (n_max + 1)
+        split = 1
         for n in range(1, n_max + 1):
+            while split < n and prev[split] < row[n - split]:
+                split += 1
             best = max(n, row[n - 1])
-            for split in range(1, n):
-                candidate = 2 * min(row[n - split], prev[split])
-                if candidate > best:
-                    best = candidate
+            if split < n:
+                best = max(best, 2 * row[n - split])
+            if split > 1:
+                best = max(best, 2 * prev[split - 1])
             row[n] = best
     return row
 

@@ -87,19 +87,37 @@ def phi_spectrum(p: int, n: int) -> int:
 
     Consecutive k share the same bracket-inverse value, so the sum is taken
     block by block: all k with nabla(p, k) = j form the interval
-    [delta(p, j), delta(p, j+1)).  Cost is O(nabla(p, n)) big-int terms.
-    Raises ValueError, before summing, when nabla(p, n) exceeds
+    [delta(p, j), delta(p, j+1)), and the blocks j <= m = nabla(p, n) cover
+    k < n.  The blocks are added by halving (``_spectrum_sum``), so the cost
+    is m + 1 delta values and O(m log m) bit operations, where adding them
+    one by one costs O(m**2).  The terms are the spectrum's, not
+    ``phi_closed``'s, so this stays an independent cross-check of the
+    closed form.  Raises ValueError, before summing, when m exceeds
     MAX_PHI_EXPONENT.
     """
     _check_args(p, n)
-    _exponent(p, n)
+    return _spectrum_sum(p, n, 0, _exponent(p, n) + 1)
+
+
+# Below this many blocks, _spectrum_sum adds by Horner's rule: the partial
+# sums stay a few words long, so halving further saves nothing.
+_SPECTRUM_LEAF = 64
+
+
+def _spectrum_sum(p: int, n: int, lo: int, hi: int) -> int:
+    """The sum over blocks j in [lo, hi) of c_j * 2**(j - lo), where
+    c_j = min(delta(p, j + 1), n) - min(delta(p, j), n) counts the k < n
+    with nabla(p, k) = j: the lower half plus the upper half shifted left
+    by mid - lo."""
+    if hi - lo > _SPECTRUM_LEAF:
+        mid = (lo + hi) // 2
+        return _spectrum_sum(p, n, lo, mid) + (_spectrum_sum(p, n, mid, hi) << (mid - lo))
     total = 0
-    j = 0
-    while delta(p, j) < n:
-        low = delta(p, j)
-        high = min(delta(p, j + 1), n)
-        total += (high - low) << j
-        j += 1
+    upper = min(delta(p, hi), n)
+    for j in range(hi - 1, lo - 1, -1):
+        lower = min(delta(p, j), n)
+        total = (total << 1) + upper - lower
+        upper = lower
     return total
 
 

@@ -321,14 +321,14 @@ def _suite_bounds_sandwich(max_disks: int | None, cache: ResultCache) -> list[Ca
     )
 
     bad_pairs = []
-    for p in range(5, 8):
-        dp_row = bounds.dp_lower_bounds(p, 300)
-        for n in range(1, 301):
+    for p in range(5, 9):
+        dp_row = bounds.dp_lower_bounds(p, 1000)
+        for n in range(1, 1001):
             if not (bounds.main2_bound(p, n) <= dp_row[n]):
                 bad_pairs.append((p, n))
     cases.append(
         _case(
-            "dp dominates the closed lower bound p=5..7 N<=300",
+            "dp dominates the closed lower bound p=5..8 N<=1000",
             not bad_pairs,
             f"first violation at {bad_pairs[0]}" if bad_pairs else "",
         )

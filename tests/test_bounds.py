@@ -4,6 +4,7 @@ import time
 import pytest
 
 from hanoi_bounds.bounds import (
+    MAX_DP_DISKS,
     bound_report_from_json_dict,
     build_report,
     chen_shen_bound,
@@ -165,19 +166,61 @@ def test_dp_lower_bound_at_four_pegs_reads_the_formula_row():
     assert report.dp_lower == report.gamma_formula
 
 
+def _dp_lower_bounds_every_split(p, n_max):
+    # the reference for dp_lower_bounds: the same recurrence, trying every
+    # split l instead of walking the crossing, O(p * n_max**2)
+    row = [gamma4_formula(n) for n in range(n_max + 1)]
+    for q in range(5, p + 1):
+        prev = row
+        row = [0] * (n_max + 1)
+        for n in range(1, n_max + 1):
+            best = max(n, row[n - 1])
+            for split in range(1, n):
+                candidate = 2 * min(row[n - split], prev[split])
+                if candidate > best:
+                    best = candidate
+            row[n] = best
+    return row
+
+
+def test_dp_crossing_walk_matches_every_split():
+    for p in range(5, 9):
+        assert dp_lower_bounds(p, 400) == _dp_lower_bounds_every_split(p, 400)
+    assert dp_lower_bounds(5, 1500) == _dp_lower_bounds_every_split(5, 1500)
+
+
 def test_dp_nondecreasing_and_above_trivial():
-    for p in (5, 6, 7):
-        row = dp_lower_bounds(p, 200)
-        for n in range(1, 201):
+    for p in range(5, 9):
+        row = dp_lower_bounds(p, 2000)
+        for n in range(1, 2001):
             assert row[n] >= row[n - 1]
             assert row[n] >= n
 
 
 def test_dp_dominates_main2():
-    for p in (5, 6, 7):
-        row = dp_lower_bounds(p, 300)
-        for n in range(1, 301):
+    for p in range(5, 9):
+        row = dp_lower_bounds(p, 2000)
+        for n in range(1, 2001):
             assert main2_bound(p, n) <= row[n]
+
+
+def test_dp_report_at_a_hundred_thousand_disks():
+    start = time.perf_counter()
+    report = build_report(5, 10**5)
+    assert time.perf_counter() - start < 5.0
+    assert report.main2 <= report.dp_lower <= report.gamma_formula
+
+
+def test_dp_refuses_rows_past_the_limit():
+    # refused before any row is built: 10**12 disks would exhaust memory
+    start = time.perf_counter()
+    for n in (MAX_DP_DISKS + 1, 10**12):
+        with pytest.raises(ValueError, match="MAX_DP_DISKS"):
+            dp_lower_bounds(5, n)
+        with pytest.raises(ValueError, match="MAX_DP_DISKS"):
+            build_report(8, n)
+    assert time.perf_counter() - start < 1.0
+    assert dp_lower_bound(4, 10**12) == gamma4_formula(10**12)
 
 
 def test_dp_at_five_pegs_121_disks():

@@ -142,6 +142,16 @@ def test_bounds_table_mentions_ceil(capsys):
     assert "1*2^-1 (ceil 1)" in out
 
 
+def test_bounds_past_the_dp_limit_is_a_usage_error(capsys):
+    # the dp row is refused before it is built, so this exits at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", "--pegs", "5", "--disks", str(10**12))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "MAX_DP_DISKS" in err
+
+
 def test_decompose_text_and_json(capsys):
     code, out, _ = run(capsys, "decompose", "--pegs", "5", "--disks", "17")
     assert code == 0

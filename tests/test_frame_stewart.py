@@ -3,6 +3,7 @@ import pytest
 from hanoi_bounds.core import Configuration, is_essential
 from hanoi_bounds.frame_stewart import (
     MAX_PHI_EXPONENT,
+    _SPECTRUM_LEAF,
     best_split,
     frame_stewart_path,
     phi4_closed,
@@ -10,6 +11,7 @@ from hanoi_bounds.frame_stewart import (
     phi_recursive,
     phi_spectrum,
 )
+from hanoi_bounds.numerics import delta
 
 
 @pytest.mark.parametrize(
@@ -70,6 +72,17 @@ def test_three_routes_agree_on_a_grid():
         assert phi_closed(p, 10**12 + 12345) == phi_spectrum(p, 10**12 + 12345)
     for n in range(1, 500):
         assert phi_spectrum(4, n) == phi4_closed(n)
+    for n in (10**9, 10**10):
+        for offset in (0, 1, 12345):
+            assert phi_closed(4, n + offset) == phi_spectrum(4, n + offset)
+    # n = delta(p, j) - 1, delta(p, j), delta(p, j) + 1 give the halving sum
+    # nabla(p, n) + 1 = j or j + 1 blocks, so j around the leaf size and its
+    # doubles covers both sides of each block count where a halving level starts
+    leaf = _SPECTRUM_LEAF
+    for p in range(4, 9):
+        for j in (leaf * k + d for k in (1, 2, 4) for d in (-1, 0, 1)):
+            for n in (delta(p, j) - 1, delta(p, j), delta(p, j) + 1):
+                assert phi_closed(p, n) == phi_spectrum(p, n)
 
 
 def test_phi_monotone_in_disks_and_pegs():
