@@ -6,6 +6,11 @@ independent routes kept as cross-checks), evaluates Bousch's potential
 function exactly, assembles every closed-form lower and upper bound it knows
 into reports, emits explicit optimal move sequences, and validates all of it
 at desk scale against breadth-first search over explicit state spaces.
+
+The search names (``distance``, ``exact_H``, ``exact_gamma``,
+``check_bousch_inequality``, ``PreconditionError``) are resolved from
+``state_space`` on first use, so importing the package does not import
+numpy; only a search does.
 """
 
 from .bounds import (
@@ -23,6 +28,7 @@ from .bounds import (
 )
 from .constructions import main1_essential_path, midpoint_path, two1_tight_pair
 from .core import (
+    CapExceededError,
     Configuration,
     IllegalMoveError,
     Move,
@@ -49,16 +55,22 @@ from .potential import (
     psi,
     psi_L,
 )
-from .state_space import (
-    CapExceededError,
-    PreconditionError,
-    check_bousch_inequality,
-    distance,
-    exact_H,
-    exact_gamma,
-)
 
 __version__ = "0.1.0"
+
+_SEARCH_NAMES = frozenset(
+    {"PreconditionError", "check_bousch_inequality", "distance", "exact_H", "exact_gamma"}
+)
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names the module does not bind itself
+    if name in _SEARCH_NAMES:
+        from . import state_space
+
+        return getattr(state_space, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BoundReport",

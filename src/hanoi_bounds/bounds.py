@@ -15,7 +15,7 @@ from typing import Literal
 
 from .dyadic import DyadicRational
 from .frame_stewart import phi_closed
-from .numerics import decompose, nabla
+from .numerics import decompose, delta, nabla
 
 __all__ = [
     "BoundReport",
@@ -104,8 +104,12 @@ def gamma_upper_general(p: int, n: int) -> int:
 def dp_lower_bounds(p: int, n_max: int) -> list[int]:
     """Dynamic-program lower bounds on Gamma(p, n) for all n <= n_max.
 
-    Base row: the exact 4-peg values.  Each row q >= 5 takes the best of
-    the trivial bound n (every disk moves once), monotone restriction
+    Base row: the exact 4-peg values, filled by additions rather than one
+    formula call per n: for n >= 3, Gamma(4, n + 1) = Gamma(4, n) +
+    2**(nabla(4, n) - 2), a quarter of Phi(4, .)'s step, and nabla(4, n)
+    is constant on each block [delta(4, j), delta(4, j + 1)), so each
+    block needs one shift.  Each row q >= 5 takes the best of the
+    trivial bound n (every disk moves once), monotone restriction
     (dropping the largest disk cannot lengthen an essential path), and the
     recursive halving bound 2 * min(row[n - l], prev[l]) over every split l.
 
@@ -126,7 +130,13 @@ def dp_lower_bounds(p: int, n_max: int) -> list[int]:
         raise ValueError(f"disk count must be nonnegative, got {n_max}")
     if n_max > MAX_DP_DISKS:
         raise ValueError(f"dp lower bounds need at most MAX_DP_DISKS = {MAX_DP_DISKS} disks, got {n_max}")
-    row = [gamma4_formula(n) for n in range(n_max + 1)]
+    row = [gamma_formula(4, n)[0] for n in range(min(n_max, 3) + 1)]
+    j = 2  # nabla(4, 3); block j adds 2**(j - 2) per disk
+    while len(row) <= n_max:
+        step = 1 << (j - 2)
+        for _ in range(len(row), min(delta(4, j + 1), n_max) + 1):
+            row.append(row[-1] + step)
+        j += 1
     for q in range(5, p + 1):
         prev = row
         row = [0] * (n_max + 1)

@@ -2,24 +2,32 @@
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage error, 3 search cap exceeded.
+
+The search engine (``state_space``, and numpy with it) is imported only by
+the commands that run a search: ``distance``, and ``gamma --exact`` on a
+cache miss.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import sys
 
 from . import bounds as bounds_mod
-from . import constructions, state_space
+from . import constructions
 from .cache import ResultCache
-from .core import Configuration, is_essential, path_to_json_dict, path_to_text
+from .core import (
+    CapExceededError,
+    Configuration,
+    is_essential,
+    path_to_json_dict,
+    path_to_text,
+)
 from .frame_stewart import phi_closed, phi_recursive, phi_spectrum
 from .numerics import decompose
 from .potential import NotApplicableError, psi
-from .state_space import CapExceededError
 from .verify import SUITES, cached
 
 EXIT_OK = 0
@@ -56,8 +64,13 @@ def cmd_gamma(args: argparse.Namespace) -> int:
         print(f"{formula}{marker}")
         return EXIT_OK
     cache = ResultCache(enabled=not args.no_cache)
+
+    def search(p: int, n: int) -> int:
+        from . import state_space
+
+        return state_space.exact_gamma(p, n, cap=args.product_cap)
+
     try:
-        search = functools.partial(state_space.exact_gamma, cap=args.product_cap)
         measured = cached("gamma", search, p, n, cache)
     finally:
         cache.save()
@@ -118,6 +131,8 @@ def cmd_psi(args: argparse.Namespace) -> int:
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
+    from . import state_space
+
     u = Configuration.from_text(args.start, args.pegs)
     v = Configuration.from_text(args.end, args.pegs)
     print(state_space.distance(u, v, cap=args.state_cap))

@@ -8,14 +8,16 @@ moves every disk at least once in exactly 3 + (Phi(4, N) - 5) / 4 moves,
 the least possible.
 
 Every returned path is replayed at construction time, so an illegal move
-or a length mismatch surfaces immediately as an error.
+or a length mismatch surfaces immediately as an error.  Each construction
+checks its closed-form length against MAX_PATH_MOVES before emitting any
+move, and raises ValueError past it.
 """
 
 from __future__ import annotations
 
 from .bounds import gamma_formula
 from .core import Configuration, Move, MovePath, is_essential
-from .frame_stewart import phi_closed, transfer_moves
+from .frame_stewart import check_path_length, phi_closed, transfer_moves
 
 __all__ = ["main1_essential_path", "midpoint_path", "two1_tight_pair"]
 
@@ -43,12 +45,13 @@ def midpoint_path(
     pegs = (src, targets[0], targets[1], spare)
     if sorted(pegs) != [0, 1, 2, 3]:
         raise ValueError(f"pegs must be 0..3, all distinct, got src={src} targets={targets} spare={spare}")
+    expected = (phi_closed(4, n + 1) - 1) // 2
+    check_path_length(expected, f"a midpoint transfer of {n} disks")
     a = _cheapest_split(0, n)
     moves = transfer_moves(0, a, _ALL_PEGS, src, targets[0])
     moves += transfer_moves(a, n - a, tuple(sorted((src, spare, targets[1]))), src, targets[1])
     path = MovePath(Configuration.all_on(4, n, src), tuple(moves))
     final = path.replay()
-    expected = (phi_closed(4, n + 1) - 1) // 2
     if path.length != expected:
         raise AssertionError(f"midpoint transfer of {n} disks took {path.length} moves, expected {expected}")
     for peg in (src, spare):
@@ -83,6 +86,8 @@ def two1_tight_pair(n: int) -> tuple[Configuration, Configuration, MovePath]:
     """
     if n < 2:
         raise ValueError(f"need at least two disks, got {n}")
+    expected = gamma_formula(4, n + 2)[0] - 2  # 1 + (Phi(4, n+2) - 5) / 4
+    check_path_length(expected, f"a tight pair for {n} disks")
     a = _cheapest_split(1, n)
     b = n - a
     placement, gather = _spread_and_regather(a)
@@ -92,7 +97,6 @@ def two1_tight_pair(n: int) -> tuple[Configuration, Configuration, MovePath]:
     moves += transfer_moves(a, b - 1, (0, 1, 2), 0, 2)
     path = MovePath(u, tuple(moves))
     v = path.replay()
-    expected = gamma_formula(4, n + 2)[0] - 2  # 1 + (Phi(4, n+2) - 5) / 4
     if path.length != expected:
         raise AssertionError(f"tight pair for {n} disks took {path.length} moves, expected {expected}")
     if u.disks_on(2) or u.disks_on(3):
@@ -115,6 +119,8 @@ def main1_essential_path(n: int) -> MovePath:
     """
     if n < 3:
         raise ValueError(f"need at least three disks, got {n}")
+    expected = gamma_formula(4, n)[0]
+    check_path_length(expected, f"an essential path for {n} disks")
     a = _cheapest_split(1, n - 2)
     b = n - 3 - a
     placement, gather = _spread_and_regather(a)
@@ -127,7 +133,6 @@ def main1_essential_path(n: int) -> MovePath:
     moves += [Move(n - 3, 0, 1)]
     path = MovePath(u, tuple(moves))
     path.replay()
-    expected = gamma_formula(4, n)[0]
     if path.length != expected:
         raise AssertionError(f"essential path for {n} disks took {path.length} moves, expected {expected}")
     if not is_essential(path):

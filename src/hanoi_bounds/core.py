@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "MIN_PEGS",
+    "CapExceededError",
     "Configuration",
     "IllegalMoveError",
     "Move",
@@ -25,6 +26,13 @@ __all__ = [
 ]
 
 MIN_PEGS = 3
+
+
+class CapExceededError(RuntimeError):
+    """A search would touch more states than the configured cap allows.
+
+    Defined here rather than in ``state_space`` so that callers can catch
+    it without importing the search engine, and with it numpy."""
 
 
 class IllegalMoveError(ValueError):

@@ -20,8 +20,10 @@ from .core import Configuration, Move, MovePath
 from .numerics import delta, nabla
 
 __all__ = [
+    "MAX_PATH_MOVES",
     "MAX_PHI_EXPONENT",
     "best_split",
+    "check_path_length",
     "frame_stewart_path",
     "phi4_closed",
     "phi_closed",
@@ -34,6 +36,11 @@ __all__ = [
 # builds: a longer Phi takes over 2 MB and minutes to print in decimal, and
 # n = 10**100 at 8 pegs would exhaust memory.  Phi(4, 10**9) has m = 44,720.
 MAX_PHI_EXPONENT = 1 << 24
+
+# The longest move sequence any construction emits.  Paths hold one Move
+# object per move: main1_essential_path(203), 4.06 million moves, takes 27 s
+# and 0.9 GB, and a few hundred disks more would exhaust memory.
+MAX_PATH_MOVES = 1 << 22
 
 
 def _check_args(p: int, n: int) -> None:
@@ -145,6 +152,14 @@ def phi4_closed(n: int) -> int:
     return phi_closed(4, n)
 
 
+def check_path_length(length: int, what: str) -> None:
+    """Raise ValueError when ``what`` would emit more than MAX_PATH_MOVES
+    moves; constructions call it with their closed-form length before
+    emitting any move."""
+    if length > MAX_PATH_MOVES:
+        raise ValueError(f"{what} takes {length} moves, more than MAX_PATH_MOVES = {MAX_PATH_MOVES}")
+
+
 def best_split(p: int, n: int) -> int:
     """The smallest l in [1, n-1] minimizing 2*Phi(p, l) + Phi(p-1, n-l)."""
     if p < 4:
@@ -192,7 +207,8 @@ def _emit(first: int, count: int, pegs: tuple[int, ...], src: int, dst: int, out
 def frame_stewart_path(n: int, pegs: Iterable[int], src: int, dst: int) -> MovePath:
     """A legal path moving disks 0..n-1 from ``src`` to ``dst`` over ``pegs``.
 
-    Length is exactly Phi(q, n) for q = len(pegs).
+    Length is exactly Phi(q, n) for q = len(pegs); raises ValueError,
+    before emitting a move, when that exceeds MAX_PATH_MOVES.
     """
     peg_tuple = tuple(pegs)
     q = len(peg_tuple)
@@ -204,6 +220,7 @@ def frame_stewart_path(n: int, pegs: Iterable[int], src: int, dst: int) -> MoveP
         raise ValueError("source and destination pegs must differ")
     if src not in peg_tuple or dst not in peg_tuple:
         raise ValueError(f"src={src} and dst={dst} must both be in {peg_tuple}")
+    check_path_length(phi_closed(q, n), f"a {q}-peg transfer of {n} disks")
     moves = transfer_moves(0, n, peg_tuple, src, dst)
     start = Configuration.all_on(max(peg_tuple) + 1, n, src)
     return MovePath(start, tuple(moves))

@@ -41,14 +41,19 @@ def _delta(p: int, n: int) -> int:
 def nabla(p: int, n: int) -> int:
     """Bracket inverse of delta: the largest k >= 0 with delta(p, k) <= n.
 
-    Well defined because delta(p, 0) = 0.  Uses exponential-then-binary
-    search, so no precomputed tables and no linear scans for large n.
+    Well defined because delta(p, 0) = 0.  p = 3 and p = 4 invert delta
+    directly: delta(3, k) = k, and delta(4, k) = k(k + 1)/2 <= n exactly
+    when 2k + 1 <= sqrt(8n + 1), so nabla(4, n) = (isqrt(8n + 1) - 1) // 2.
+    Larger p use exponential-then-binary search, so no precomputed tables
+    and no linear scans for large n.
     """
     _check_peg_count(p)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if p == 3:
         return n  # delta(3, k) = k
+    if p == 4:
+        return (math.isqrt(8 * n + 1) - 1) // 2
     hi = 1
     while _delta(p, hi) <= n:
         hi *= 2

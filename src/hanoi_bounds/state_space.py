@@ -52,11 +52,10 @@ import os
 
 import numpy as np
 
-from .core import MIN_PEGS, Configuration
+from .core import MIN_PEGS, CapExceededError, Configuration
 from .potential import psi
 
 __all__ = [
-    "CapExceededError",
     "DEFAULT_PRODUCT_CAP",
     "DEFAULT_STATE_CAP",
     "MAX_DISKS",
@@ -73,10 +72,6 @@ MAX_DISKS = 30
 DEFAULT_STATE_CAP = 1 << 26
 DEFAULT_PRODUCT_CAP = 1 << 28
 _MAX_SUPPORTED_CAP = 1 << 62
-
-
-class CapExceededError(RuntimeError):
-    """A search would touch more states than the configured cap allows."""
 
 
 class PreconditionError(ValueError):

@@ -10,6 +10,11 @@ The library is called through module attributes (``state_space.exact_gamma``,
 never a function imported by name): the benchmark's tracer
 (``perfbench/tracing.py``) rebinds names only in the modules it lists, and
 this way it still sees every call made from here.
+
+``state_space``, and numpy with it, is imported only where a search runs:
+on a cache miss in ``_gamma`` / ``_H``, and in the ``lemmas`` suite's
+potential-versus-distance sweep.  Suites answered by formulas or by the
+cache never load the search engine.
 """
 
 from __future__ import annotations
@@ -18,10 +23,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Literal
 
-from . import bounds, constructions, core, frame_stewart, numerics, potential, state_space
+from . import bounds, constructions, core, frame_stewart, numerics, potential
 from .cache import ResultCache
-from .core import Configuration
-from .state_space import CapExceededError
+from .core import CapExceededError, Configuration
 
 __all__ = ["SUITES", "Case", "cached", "random_bousch_instance", "random_removal_instance"]
 
@@ -55,12 +59,24 @@ def cached(
     return value
 
 
+def _exact_gamma(p: int, n: int) -> int:
+    from . import state_space
+
+    return state_space.exact_gamma(p, n)
+
+
+def _exact_H(p: int, n: int) -> int:
+    from . import state_space
+
+    return state_space.exact_H(p, n)
+
+
 def _gamma(p: int, n: int, cache: ResultCache) -> int:
-    return cached("gamma", state_space.exact_gamma, p, n, cache)
+    return cached("gamma", _exact_gamma, p, n, cache)
 
 
 def _H(p: int, n: int, cache: ResultCache) -> int:
-    return cached("H", state_space.exact_H, p, n, cache)
+    return cached("H", _exact_H, p, n, cache)
 
 
 def _suite_phi(max_disks: int | None, cache: ResultCache) -> list[Case]:
@@ -209,6 +225,8 @@ def random_bousch_instance(
 
 
 def _suite_lemmas(max_disks: int | None, cache: ResultCache) -> list[Case]:
+    from . import state_space
+
     del cache  # distance instances here are keyed by configurations, not (p, N)
     limit = max_disks if max_disks is not None else 6
     rng = random.Random(_SEED)

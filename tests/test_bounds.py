@@ -156,8 +156,9 @@ def test_dp_lower_bounds_row_consistency():
 
 
 def test_dp_lower_bound_at_four_pegs_reads_the_formula_row():
-    row = dp_lower_bounds(4, 300)
-    for n in range(301):
+    # dp_lower_bounds fills row 4 by additions, dp_lower_bound reads the formula
+    row = dp_lower_bounds(4, 3000)
+    for n in range(3001):
         assert dp_lower_bound(4, n) == row[n]
     # no row of 10**8 values: this used to take minutes and run out of memory
     start = time.perf_counter()

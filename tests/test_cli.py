@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import hanoi_bounds
 from hanoi_bounds import cli
 from hanoi_bounds.cache import ENGINE_VERSION, ResultCache
 from hanoi_bounds.core import path_from_json_dict
@@ -245,6 +249,76 @@ def test_construct_verify_reports(capsys):
     assert code == 0
     assert len(out.strip().splitlines()) == 6
     assert "verified: legal, length 6" in err
+
+
+def test_construct_past_the_move_limit_is_a_usage_error(capsys):
+    # the closed-form length is checked before any move is emitted; two1 at
+    # 10**5 disks used to run until the machine ran out of memory
+    for kind, disks in (("two1", 10**5), ("main1", 204), ("midpoint", 186)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "construct", "--kind", kind, "--disks", str(disks))
+        assert time.perf_counter() - start < 1.0, kind
+        assert code == 2, kind
+        assert out == ""
+        assert "MAX_PATH_MOVES" in err
+
+
+# hanoi_bounds.cli.main in a fresh interpreter where importing numpy fails,
+# so a command passes only if it never imports the search engine
+_WITHOUT_NUMPY = (
+    "import sys; sys.modules['numpy'] = None; "
+    "from hanoi_bounds.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def _run_without_numpy(cache_dir, *argv):
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(hanoi_bounds.__file__).resolve().parents[1]),
+        HANOI_CACHE_DIR=str(cache_dir),
+    )
+    return subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phi", "--pegs", "5", "--disks", "1000"),
+        ("psi", "--set", "0,1,4,90"),
+        ("decompose", "--pegs", "5", "--disks", "17"),
+        ("bounds", "--pegs", "5", "--disks", "121", "--json"),
+        ("construct", "--kind", "main1", "--disks", "7", "--verify"),
+        ("verify", "--suite", "phi", "--max-disks", "20"),
+    ],
+)
+def test_commands_without_a_search_run_without_numpy(capsys, cache_dir, argv):
+    blocked = _run_without_numpy(cache_dir, *argv)
+    assert blocked.returncode == 0, blocked.stderr
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, blocked.stdout, blocked.stderr)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "szegedy", "--max-disks", "5"),
+        ("gamma", "--pegs", "4", "--disks", "6", "--exact"),
+    ],
+)
+def test_warm_cache_hits_run_without_numpy(capsys, cache_dir, argv):
+    # the cold run searches and fills the cache; the warm run, answered
+    # from the cache, never imports the search engine
+    code, cold, _ = run(capsys, *argv)
+    assert code == 0
+    warm = _run_without_numpy(cache_dir, *argv)
+    assert warm.returncode == 0, warm.stderr
+    assert warm.stdout == cold
 
 
 def test_verify_suite_json(capsys, cache_dir):

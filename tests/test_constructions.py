@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from hanoi_bounds.bounds import gamma4_formula
@@ -7,7 +9,7 @@ from hanoi_bounds.constructions import (
     two1_tight_pair,
 )
 from hanoi_bounds.core import is_essential
-from hanoi_bounds.frame_stewart import phi4_closed
+from hanoi_bounds.frame_stewart import MAX_PATH_MOVES, phi4_closed
 from hanoi_bounds.state_space import distance, exact_gamma
 
 
@@ -109,3 +111,25 @@ def test_main1_rejects_tiny_inputs():
         main1_essential_path(2)
     with pytest.raises(ValueError):
         two1_tight_pair(1)
+
+
+@pytest.mark.parametrize(
+    "build, length",
+    [
+        (main1_essential_path, gamma4_formula),
+        (two1_tight_pair, lambda n: 1 + (phi4_closed(n + 2) - 5) // 4),
+        (lambda n: midpoint_path(n, 0, (2, 3), 1), lambda n: (phi4_closed(n + 1) - 1) // 2),
+    ],
+)
+def test_constructions_refuse_paths_past_the_move_limit(build, length):
+    # refused from the closed-form length before any move is emitted: at the
+    # first disk count past the limit, and at 10**5 disks, which would run
+    # until the machine runs out of memory
+    first = 3
+    while length(first) <= MAX_PATH_MOVES:
+        first += 1
+    start = time.perf_counter()
+    for n in (first, 10**5):
+        with pytest.raises(ValueError, match="MAX_PATH_MOVES"):
+            build(n)
+    assert time.perf_counter() - start < 1.0

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
 from hanoi_bounds.core import Configuration, is_essential
 from hanoi_bounds.frame_stewart import (
+    MAX_PATH_MOVES,
     MAX_PHI_EXPONENT,
     _SPECTRUM_LEAF,
     best_split,
@@ -145,6 +148,18 @@ def test_frame_stewart_path_past_the_search_limit():
     path = frame_stewart_path(40, range(4), 0, 3)
     assert path.length == phi4_closed(40)
     assert path.replay() == Configuration.all_on(4, 40, 3)
+
+
+def test_frame_stewart_path_refuses_paths_past_the_move_limit():
+    # Phi(3, 23) = 2**23 - 1 and Phi(4, 169) are the first lengths past
+    # MAX_PATH_MOVES = 2**22; refused before any move is emitted
+    assert phi_closed(3, 22) <= MAX_PATH_MOVES < phi_closed(3, 23)
+    assert phi4_closed(168) <= MAX_PATH_MOVES < phi4_closed(169)
+    start = time.perf_counter()
+    for n, pegs in ((23, range(3)), (169, range(4)), (10**5, range(4))):
+        with pytest.raises(ValueError, match="MAX_PATH_MOVES"):
+            frame_stewart_path(n, pegs, 0, 2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_frame_stewart_path_rejects_bad_pegs():

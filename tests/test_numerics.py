@@ -64,6 +64,21 @@ def test_nabla_brackets_delta(p, n):
     assert delta(p, k) <= n < delta(p, k + 1)
 
 
+def test_nabla4_inverts_delta4_at_every_block_edge():
+    # nabla(4, .) is an integer square root: check it on both sides of each
+    # edge delta(4, k), for small k and for k near delta(4, k) = 10**20
+    far = nabla(4, 10**20)
+    for k in list(range(5001)) + list(range(far - 100, far + 101)):
+        edge = delta(4, k)
+        for n in (edge - 1, edge, edge + 1):
+            if n >= 0:
+                m = nabla(4, n)
+                assert delta(4, m) <= n < delta(4, m + 1)
+        assert nabla(4, edge) == k
+        if k:
+            assert nabla(4, edge - 1) == k - 1
+
+
 @pytest.mark.parametrize(
     "p, n, expected",
     [

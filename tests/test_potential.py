@@ -71,6 +71,17 @@ def test_psi_matches_brute_force_scan():
         assert psi(members) == wide
 
 
+def test_psi_is_the_largest_truncation_on_large_sets():
+    # psi stops at the first level whose increment is not positive; the
+    # literal maximum scans every level up to nabla(4, max E) + 1, past
+    # which psi_L only falls
+    rng = random.Random(17)
+    for size in [0, 1, 2, 3, 50, 100, 200, 400] * 4:
+        members = rng.sample(range(10**4), size)
+        top = nabla(4, max(members)) + 1 if members else 1
+        assert psi(members) == max(psi_L(members, level) for level in range(top + 1))
+
+
 def test_psi_L_strictly_decreasing_beyond_cutoff():
     rng = random.Random(13)
     for _ in range(40):

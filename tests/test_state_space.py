@@ -605,3 +605,18 @@ def test_bousch_inequality_binds_psi_to_distance():
         v = Configuration.all_on(4, n, 2)
         assert distance(u, v) >= psi(range(n))
         assert check_bousch_inequality(u, v, a=0)
+
+
+def test_package_resolves_every_public_name():
+    # the search names come from state_space on first use (PEP 562), and
+    # CapExceededError, defined in core, is the class state_space raises
+    import hanoi_bounds as hb
+    from hanoi_bounds import core
+
+    for name in hb.__all__:
+        assert getattr(hb, name) is not None, name
+    for name in ("PreconditionError", "check_bousch_inequality", "distance", "exact_H", "exact_gamma"):
+        assert getattr(hb, name) is getattr(state_space, name)
+    assert hb.CapExceededError is state_space.CapExceededError is core.CapExceededError
+    with pytest.raises(AttributeError):
+        getattr(hb, "no_such_name")
