@@ -4,8 +4,8 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage error, 3 search cap exceeded.
 
 The search engine (``state_space``, and numpy with it) is imported only by
-the commands that run a search: ``distance``, and ``gamma --exact`` on a
-cache miss.
+the commands that run a search: ``distance``, ``gamma --exact`` on a cache
+miss, and the ``verify`` suites that search (``verify`` imports it itself).
 """
 
 from __future__ import annotations
