@@ -40,6 +40,14 @@ def midpoint_path(
     Phi(4, a) + Phi(3, b): the a smallest disks travel to targets[0] over
     all four pegs, the rest to targets[1] over {src, spare, targets[1]}.
     """
+    return _midpoint(n, src, targets, spare)[0]
+
+
+def _midpoint(
+    n: int, src: int, targets: tuple[int, int], spare: int
+) -> tuple[MovePath, Configuration]:
+    """``midpoint_path`` together with the configuration it ends in, read
+    off its one replay."""
     if n < 1:
         raise ValueError(f"need at least one disk, got {n}")
     pegs = (src, targets[0], targets[1], spare)
@@ -57,7 +65,7 @@ def midpoint_path(
     for peg in (src, spare):
         if final.disks_on(peg):
             raise AssertionError(f"midpoint transfer left disks on peg {peg}")
-    return path
+    return path, final
 
 
 def _spread_and_regather(a: int) -> tuple[tuple[int, ...], list[Move]]:
@@ -66,12 +74,13 @@ def _spread_and_regather(a: int) -> tuple[tuple[int, ...], list[Move]]:
 
     Built by reversing a midpoint transfer out of peg 3; path reversal
     preserves legality, and larger foreign disks below the placement do
-    not interfere.
+    not interfere.  The reversed path starts where the transfer ended, so
+    no second replay is needed to find its start.
     """
     if a == 0:
         return (), []
-    back = midpoint_path(a, src=3, targets=(0, 1), spare=2).reversed()
-    return back.start.pegs, list(back.moves)
+    path, final = _midpoint(a, src=3, targets=(0, 1), spare=2)
+    return final.pegs, [m.reverse() for m in reversed(path.moves)]
 
 
 def two1_tight_pair(n: int) -> tuple[Configuration, Configuration, MovePath]:

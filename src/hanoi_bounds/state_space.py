@@ -29,12 +29,14 @@ so no table holds depths.  When v is u with its pegs relabeled by an
 involution sigma (exact_H's all-on-0 and all-on-(p-1) are), v's sweep
 is u's mirrored, so only u's runs, over one table.
 
-``exact_gamma`` tabulates each peg pair's rank step and moved-disk bit
-once, then expands a level pair by pair over a bool seen table.  A pair
-leads two product states to one successor only as twins (mask, c) and
-(mask | bit, c), and twins fall on either side of the split between
-sources whose move sets no new bit and those whose move sets one; with
-the two sides expanded and marked in turn, no level needs a dedupe.
+``exact_gamma`` seeds its search with one configuration per
+peg-relabeling class (``_canonical_starts``), tabulates each peg pair's
+rank step and moved-disk bit once, then expands a level pair by pair over
+a bool seen table.  A pair leads two product states to one successor
+only as twins (mask, c) and (mask | bit, c), and twins fall on either
+side of the split between sources whose move sets no new bit and those
+whose move sets one; with the two sides expanded and marked in turn, no
+level needs a dedupe.
 
 Caps bound the state counts a search may touch.  Exceeding a cap raises
 CapExceededError, never a silent truncation.  Defaults can be overridden
@@ -382,15 +384,43 @@ def _expand_product(
     return np.concatenate(parts)
 
 
+def _canonical_starts(p: int, n: int) -> np.ndarray:
+    """The sorted ranks of the canonical configurations: those whose pegs,
+    read from the largest disk down, are numbered by first appearance
+    (restricted growth strings with at most p values), one per class of
+    configurations equal up to relabeling the pegs.
+
+    Built one disk at a time from the largest: each prefix, in rank order,
+    puts the next disk on a peg already used or on the first unused one.
+    Horner's rule keeps the prefixes in rank order, since a configuration's
+    rank orders it by its pegs read from the largest disk down.
+    """
+    ranks = np.zeros(1, dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)  # pegs 0..used-1 hold the placed disks
+    labels = np.arange(p, dtype=np.int64)
+    for _ in range(n):
+        keep = (labels <= used[:, None]).ravel()  # an old peg or the first new one
+        ranks = (ranks[:, None] * p + labels).ravel()[keep]
+        used = np.maximum(used[:, None], labels + 1).ravel()[keep]
+    return ranks
+
+
 def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
     """Exact minimum length of a move sequence that moves every disk at
     least once, over all starting configurations.
 
     Multi-source BFS over (configuration, moved-mask) product states with
-    rank mask * p**n + configuration rank.  Every configuration starts at
-    distance 0 with mask 0; each edge sets the moved disk's bit; the answer
-    is the first level containing a full mask.  Masks only grow along
-    edges, so plain BFS is level-exact.
+    rank mask * p**n + configuration rank.  The canonical configurations
+    (``_canonical_starts``) start at distance 0 with mask 0; each edge sets
+    the moved disk's bit; the answer is the first level containing a full
+    mask.  Masks only grow along edges, so plain BFS is level-exact.
+
+    One start per peg-relabeling class suffices.  Relabeling the pegs maps
+    legal moves to legal moves of the same disks, so a relabeled start has
+    essential paths of the same lengths, and the minimum over one start
+    per class is the minimum over all starts.  The starts left out change
+    no later level either: every move sets a bit, so mask 0 occurs only at
+    depth 0, and the whole mask-0 band is marked seen at once.
 
     Successors come from one step and one bit table per call (see
     ``_adjacency``), and a bool table marks the product states seen.
@@ -412,7 +442,7 @@ def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
     steps, bits = _adjacency(p, n)
     seen = np.zeros(product, dtype=bool)
     seen[:size] = True
-    frontier = np.arange(size, dtype=np.int64)
+    frontier = _canonical_starts(p, n)
     depth = 0
     while frontier.size:
         frontier = _expand_product(frontier, seen, steps, bits, size)

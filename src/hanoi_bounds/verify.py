@@ -243,10 +243,9 @@ def _suite_lemmas(max_disks: int | None, cache: ResultCache) -> list[Case]:
     )
 
     bad = []
+    spectrum = {a: frame_stewart.phi_spectrum(4, a) for a in range(1, 200)}
     for n in range(2, 201):
-        split_min = min(
-            frame_stewart.phi_spectrum(4, a) + ((1 << (n - a)) - 1) for a in range(1, n)
-        )
+        split_min = min(spectrum[a] + ((1 << (n - a)) - 1) for a in range(1, n))
         if 2 * split_min != phi(4, n + 1) - 1:
             bad.append(n)
     cases.append(

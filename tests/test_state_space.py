@@ -375,10 +375,34 @@ def test_exact_H_matches_phi_closed():
 
 @pytest.mark.parametrize(
     "p, n, expected",
-    [(3, 4, 5), (4, 4, 4), (3, 1, 1), (4, 1, 1), (5, 1, 1), (4, 0, 0)],
+    [(3, 4, 5), (4, 4, 4), (3, 1, 1), (4, 1, 1), (5, 1, 1), (4, 0, 0), (4, 9, 12)],
 )
 def test_exact_gamma_values(p, n, expected):
     assert exact_gamma(p, n) == expected
+
+
+def test_canonical_starts_are_one_configuration_per_relabeling_class():
+    # independent of the vectorized builder: relabel every configuration's
+    # pegs by first appearance from the largest disk, in pure Python
+    from itertools import product
+
+    from hanoi_bounds.state_space import _canonical_starts
+
+    def canonical(c):
+        labels = {}
+        pegs = [labels.setdefault(peg, len(labels)) for peg in reversed(c.pegs)]
+        return Configuration(c.p, tuple(reversed(pegs))).rank()
+
+    stirling = [[1]]  # stirling[n][k] = S(n, k), set partitions of n into k blocks
+    for n in range(1, 7):
+        prev = stirling[-1] + [0]
+        stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
+    for p in range(3, 7):
+        for n in range(7):
+            starts = _canonical_starts(p, n).tolist()
+            classes = {canonical(Configuration(p, pegs)) for pegs in product(range(p), repeat=n)}
+            assert starts == sorted(classes), (p, n)  # each class once, in rank order
+            assert len(starts) == sum(stirling[n][: p + 1]), (p, n)
 
 
 def test_exact_gamma_agrees_with_pure_python_product_bfs():
@@ -409,6 +433,7 @@ def test_exact_gamma_agrees_with_pure_python_product_bfs():
         raise AssertionError("unreachable")
 
     cases = [(3, n) for n in range(7)] + [(4, n) for n in range(6)] + [(5, n) for n in range(4)]
+    cases += [(6, n) for n in range(4)] + [(7, n) for n in range(4)]
     for p, n in cases:
         assert exact_gamma(p, n) == plain_gamma(p, n), (p, n)
     assert plain_gamma(3, 4) == 5
