@@ -7,18 +7,20 @@ per state.  Results are deterministic functions of the inputs regardless
 of expansion order, because each sweep finishes a whole level before
 testing for termination.
 
-Top disks come from lookup tables, not from per-state digits: a rank is
-split into its low n // 2 disks and its high disks, and two small tables
-(p**(n // 2) and p**(n - n // 2) rows, built per call) give each half's
-top disk per peg; a peg's top is the low half's unless that half leaves
-the peg empty.
-
 One rule, ``_pair_moves``, gives the legal moves to both searches.  Each
 unordered peg pair {x, y} has exactly one move: the smaller of its two
 top disks goes onto the other peg (none when both pegs are empty, a
 self-loop).  The move undoes itself, since from the neighbour the same
 pair moves the same disk back, so one pair never leads two states to the
 same neighbour.
+
+The rule is tabulated once per call, per pair, over each half of a rank
+(``_move_tables``): a rank splits into its low n // 2 disks and its high
+disks, and each half's table (p**(n // 2) and p**(n - n // 2) columns)
+holds the pair's rank step among that half's disks alone, 0 when neither
+peg holds one.  Every low disk is smaller than every high disk, so where
+the low entry is nonzero its disk is the pair's smaller top and its move
+is the move; the high entry decides only where the low one is 0.
 
 ``distance`` expands a level one peg pair at a time, dropping the
 neighbours its seen table holds (self-loops among them) and marking the
@@ -30,13 +32,13 @@ involution sigma (exact_H's all-on-0 and all-on-(p-1) are), v's sweep
 is u's mirrored, so only u's runs, over one table.
 
 ``exact_gamma`` seeds its search with one configuration per
-peg-relabeling class (``_canonical_starts``), tabulates each peg pair's
-rank step and moved-disk bit once, then expands a level pair by pair over
-a bool seen table.  A pair leads two product states to one successor
-only as twins (mask, c) and (mask | bit, c), and twins fall on either
-side of the split between sources whose move sets no new bit and those
-whose move sets one; with the two sides expanded and marked in turn, no
-level needs a dedupe.
+peg-relabeling class (``_canonical_starts``), fills each peg pair's rank
+step and moved-disk bit over all states from the half tables, then
+expands a level pair by pair over a bool seen table.  A pair leads two
+product states to one successor only as twins (mask, c) and
+(mask | bit, c), and twins fall on either side of the split between
+sources whose move sets no new bit and those whose move sets one; with
+the two sides expanded and marked in turn, no level needs a dedupe.
 
 Caps bound the state counts a search may touch.  Exceeding a cap raises
 CapExceededError, never a silent truncation.  Defaults can be overridden
@@ -167,12 +169,14 @@ def _digit_matrix(ranks: np.ndarray, p: int, n: int) -> np.ndarray:
     return out
 
 
-def _top_disks(digits: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Topmost (smallest) disk per peg; the sentinel n marks an empty peg."""
-    tops = np.full((digits.shape[0], p), n, dtype=np.int8)
+def _top_disks(digits: np.ndarray, p: int, first: int, n: int) -> np.ndarray:
+    """Topmost (smallest) disk per peg, shape (p, len(digits)), for rows of
+    ``digits`` whose columns place disks first, first + 1, ...; the
+    sentinel n marks a peg that holds none of them."""
+    tops = np.full((p, digits.shape[0]), n, dtype=np.int8)
     rows = np.arange(digits.shape[0])
-    for disk in range(n - 1, -1, -1):  # smaller disks overwrite larger ones
-        tops[rows, digits[:, disk]] = disk
+    for column in range(digits.shape[1] - 1, -1, -1):  # smaller disks overwrite larger ones
+        tops[digits[:, column], rows] = first + column
     return tops
 
 
@@ -181,77 +185,66 @@ def _halves(p: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
     disks and high the rest.  Returns split and the digit matrices of every
     low and of every high rank."""
     low_disks = n // 2
-    split = p**low_disks
-    return (
-        split,
-        _digit_matrix(np.arange(split), p, low_disks),
-        _digit_matrix(np.arange(p ** (n - low_disks)), p, n - low_disks),
-    )
+    low, high = (_digit_matrix(np.arange(p**d), p, d) for d in (low_disks, n - low_disks))
+    return p**low_disks, low, high
 
 
-def _top_tables(p: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Top-disk lookup tables for the halves of a rank (see ``_halves``).
-
-    Returns (split, low, high): ``low[peg, r]`` is the top disk of ``peg``
-    among the low disks placed as rank r, ``high[peg, r]`` the same among
-    the high disks, both as disk numbers with n for an empty peg.  Every
-    low disk is smaller than every high disk, so a peg's top is the smaller
-    of its two entries (see ``_tops``).
-    """
-    split, low_digits, high_digits = _halves(p, n)
-    low_disks = low_digits.shape[1]
-    low = _top_disks(low_digits, p, low_disks)
-    low[low == low_disks] = n
-    high = _top_disks(high_digits, p, n - low_disks) + low_disks
-    # peg-major, so ``_tops`` returns one contiguous row of tops per peg
-    return split, np.ascontiguousarray(low.T), np.ascontiguousarray(high.T)
-
-
-def _tops(
-    ranks: np.ndarray, split: int, low: np.ndarray, high: np.ndarray
-) -> np.ndarray:
-    """Top disk of every peg for each rank; shape (p, len(ranks)), n marks
-    an empty peg."""
-    high_ranks, low_ranks = np.divmod(ranks, split)
-    return np.minimum(low[:, low_ranks], high[:, high_ranks])
-
-
-def _pair_moves(tops: np.ndarray, p: int, n: int):
-    """The legal moves of the ranks whose tops are ``tops``, as (moved,
-    step) for each unordered peg pair {x, y} in turn: ``moved`` is the
-    smaller of the two tops, n where both pegs are empty, and ``step`` the
-    rank change, (y - x) * p**d for disk d going from x to y, 0 for n.
+def _pair_moves(tops: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The legal moves of the ranks whose tops are ``tops`` (see
+    ``_top_disks``), as int64 (bits, steps) with one row per unordered peg
+    pair {x, y} in turn: the moved disk d is the smaller of the two tops,
+    ``bits`` holds 1 << d and ``steps`` the rank change, (y - x) * p**d for
+    d going from x to y; both are 0 where both pegs are empty.
 
     After the move, the moved disk tops its new peg and is smaller than the
     top it left, so the same pair moves it back: each pair's move is an
     involution on ranks, and no pair maps two ranks onto one neighbour.
     """
+    xs, ys = np.triu_indices(p, 1)  # pairs in the order (0, 1), (0, 2), ..., (p-2, p-1)
     scale = np.append(_powers(p, n), 0)  # scale[n] = 0: the sentinel moves nothing
-    for x in range(p):
-        for y in range(x + 1, p):
-            moved = np.minimum(tops[x], tops[y])
-            yield moved, np.where(tops[x] < tops[y], y - x, x - y) * scale[moved]
+    moved = np.minimum(tops[xs], tops[ys])
+    steps = scale[moved]
+    steps *= (ys - xs)[:, None]
+    np.negative(steps, out=steps, where=tops[xs] > tops[ys])  # the disk goes from y to x
+    bits = np.left_shift(1, moved, dtype=np.int64)  # int64, where numpy 1.x would keep int8
+    bits &= (1 << n) - 1  # drops the sentinel's bit 1 << n
+    return bits, steps
+
+
+def _move_tables(p: int, n: int) -> tuple[int, tuple, tuple]:
+    """(split, low, high): each peg pair's move among the low disks and
+    among the high disks of a rank alone (see ``_halves``), as (bits,
+    steps) from ``_pair_moves`` over every low rank and every high rank.
+    Disks keep their numbers in the whole rank, so high steps come scaled
+    by split.  A half's step is 0 where neither of the pair's pegs holds
+    one of its disks, and the low step wins wherever it is nonzero: every
+    low disk is smaller than every high disk."""
+    split, low_digits, high_digits = _halves(p, n)
+    low_tops = _top_disks(low_digits, p, 0, n)
+    high_tops = _top_disks(high_digits, p, low_digits.shape[1], n)
+    return split, _pair_moves(low_tops, p, n), _pair_moves(high_tops, p, n)
 
 
 def _expand(
-    frontier: np.ndarray,
-    seen: np.ndarray,
-    tables: tuple[int, np.ndarray, np.ndarray],
-    p: int,
-    n: int,
+    frontier: np.ndarray, seen: np.ndarray, split: int, low: np.ndarray, high: np.ndarray
 ) -> np.ndarray:
     """The states one move from ``frontier`` that ``seen`` has not seen,
-    each once, marked in ``seen``.  No pair emits a state twice
-    (``_pair_moves``), and marking a pair's states before the next pair
-    keeps them out of later pairs; self-loops land on the frontier, which
-    is seen."""
-    tops = _tops(frontier, *tables)
+    each once, marked in ``seen``.  Per pair, a rank's step is the low step
+    table's entry, or the high one's where that is 0 (``_move_tables``).
+    No pair emits a state twice (``_pair_moves``), and marking a pair's
+    states before the next pair keeps them out of later pairs; self-loops
+    land on the frontier, which is seen."""
+    high_ranks, low_ranks = np.divmod(frontier, split)
     parts = []
-    for _, step in _pair_moves(tops, p, n):
-        nbrs = frontier + step
+    for low_row, high_row in zip(low, high):
+        nbrs = low_row.take(low_ranks)
+        rest = nbrs == 0
+        nbrs[rest] = high_row.take(high_ranks[rest])
+        nbrs += frontier
         nbrs = nbrs[~seen[nbrs]]
         seen[nbrs] = True
         parts.append(nbrs)
+    del high_ranks, low_ranks  # before the concatenation copies the new level
     return np.concatenate(parts)
 
 
@@ -266,14 +259,14 @@ def _involution(u: tuple[int, ...], v: tuple[int, ...], p: int) -> list[int] | N
     return [x if image is None else image for x, image in enumerate(sigma)]
 
 
-def _mirror_tables(sigma: list[int], p: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Rank of sigma applied to every disk, as (split, low, high) with
-    sigma(rank) = low[rank % split] + high[rank // split]."""
+def _mirror_tables(sigma: list[int], p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank of sigma applied to every disk, as (low, high) with sigma(rank)
+    = low[rank % split] + high[rank // split] (split from ``_halves``)."""
     split, low_digits, high_digits = _halves(p, n)
     perm = np.array(sigma, dtype=np.int64)
     low = perm[low_digits] @ _powers(p, low_digits.shape[1])
     high = perm[high_digits] @ _powers(p, high_digits.shape[1])
-    return split, low, high * split
+    return low, high * split
 
 
 def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
@@ -284,6 +277,8 @@ def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
     the first level whose fresh states the other sweep has seen.  No level
     met before, so the balls of radius depth_u - 1 around u and depth_v
     around v are disjoint, and the meeting state joins a path that long.
+    Each level is one ``_expand`` over the pair step tables of
+    ``_move_tables``, built once per call.
 
     When v is u with its pegs relabeled by an involution sigma, d(v, s) =
     d(u, sigma(s)): only u's sweep runs, and v's is it read through sigma,
@@ -304,29 +299,31 @@ def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
     sigma = _involution(u.pegs, v.pegs, p)
     mirrored = sigma is not None
     ends = [u] if mirrored else [u, v]
-    half_states = p ** (n // 2) + p ** (n - n // 2)
-    half_bytes = (p + 8 * mirrored) * half_states  # int8 tops, int64 mirror ranks
+    half_rows = p ** (n // 2) + p ** (n - n // 2)
+    # bool seen tables; int64 bits and steps per pair and half row, int64 mirror ranks
+    half_bytes = 8 * (p * (p - 1) + mirrored) * half_rows
     _check_memory(len(ends) * size + half_bytes, "distance search")
-    tables = _top_tables(p, n)
+    split, low, high = _move_tables(p, n)
+    low, high = low[1], high[1]  # the steps; distance reads no bits
     seens = [np.zeros(size, dtype=bool) for _ in ends]
     frontiers = [np.array([end.rank()], dtype=np.int64) for end in ends]
     for seen, frontier in zip(seens, frontiers):
         seen[frontier] = True
     if mirrored:
-        mirror_split, mirror_low, mirror_high = _mirror_tables(sigma, p, n)
+        mirror_low, mirror_high = _mirror_tables(sigma, p, n)
         images = np.array([v.rank()], dtype=np.int64)  # sigma of u's previous level
         for depth in range(1, size):
-            frontiers[0] = _expand(frontiers[0], seens[0], tables, p, n)
+            frontiers[0] = _expand(frontiers[0], seens[0], split, low, high)
             if seens[0][images].any():
                 return 2 * depth - 1
-            high_ranks, low_ranks = np.divmod(frontiers[0], mirror_split)
+            high_ranks, low_ranks = np.divmod(frontiers[0], split)
             images = mirror_low[low_ranks] + mirror_high[high_ranks]
             if seens[0][images].any():
                 return 2 * depth
     else:
         for depth in range(1, size):  # depth_u + depth_v: each step grows one
             side = 0 if frontiers[0].size <= frontiers[1].size else 1
-            frontiers[side] = _expand(frontiers[side], seens[side], tables, p, n)
+            frontiers[side] = _expand(frontiers[side], seens[side], split, low, high)
             if seens[1 - side][frontiers[side]].any():
                 return depth
     raise RuntimeError("the sweeps never met; the graph should be connected")
@@ -348,16 +345,17 @@ def _adjacency(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Column c holds, in row k, the rank step of pair k's move from c and
     the bit of the disk it moves.  A pair whose pegs are both empty holds
-    a self-loop that moves nothing (step 0, bit 0).
+    a self-loop that moves nothing (step 0, bit 0).  Each row is filled
+    from the half tables of ``_move_tables``: read as a grid of high by low
+    rank, it takes the low half's step and bit where that half has a move
+    and the high half's elsewhere.
     """
-    tops = _tops(np.arange(p**n, dtype=np.int64), *_top_tables(p, n))
-    steps = np.empty((p * (p - 1) // 2, p**n), dtype=np.int64)
-    bits = np.empty_like(steps)
-    disks = (1 << n) - 1  # masks the sentinel's bit 1 << n to 0
-    for k, (moved, step) in enumerate(_pair_moves(tops, p, n)):
-        steps[k] = step
-        bits[k] = (np.int64(1) << moved) & disks
-    return steps, bits
+    _, (low_bits, low_steps), (high_bits, high_steps) = _move_tables(p, n)
+    own = (low_steps != 0)[:, None, :]  # the low half moves a disk
+    return tuple(
+        np.where(own, low[:, None, :], high[:, :, None]).reshape(len(low), p**n)
+        for low, high in ((low_steps, high_steps), (low_bits, high_bits))
+    )
 
 
 def _expand_product(
@@ -437,7 +435,9 @@ def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
         raise CapExceededError(
             f"essential-path search over {product} product states exceeds the cap {cap_value}"
         )
-    adjacency_bytes = 2 * size * (p * (p - 1) // 2) * 8  # two int64 tables, one row per peg pair
+    half_rows = p ** (n // 2) + p ** (n - n // 2)
+    # two int64 tables, one row per peg pair, over every state and over each half row
+    adjacency_bytes = 2 * (size + half_rows) * (p * (p - 1) // 2) * 8
     _check_memory(product + adjacency_bytes, "essential-path search")
     steps, bits = _adjacency(p, n)
     seen = np.zeros(product, dtype=bool)

@@ -212,40 +212,62 @@ def test_distance_agrees_with_pure_python_bfs():
     assert mirrored_parities == {0, 1}
 
 
-def test_top_tables_match_top_disks():
+def half_table_moves(ranks, p, n):
+    """Each pair's (bits, steps) for ``ranks``, read from the half move
+    tables as the searches read them: the low half's entry where its step
+    is nonzero, the high half's elsewhere."""
     import numpy as np
 
-    from hanoi_bounds.state_space import _digit_matrix, _top_disks, _top_tables, _tops
+    from hanoi_bounds.state_space import _move_tables
+
+    split, (low_bits, low_steps), (high_bits, high_steps) = _move_tables(p, n)
+    high, low = np.divmod(ranks, split)
+    own = low_steps[:, low] != 0
+    return (
+        np.where(own, low_bits[:, low], high_bits[:, high]),
+        np.where(own, low_steps[:, low], high_steps[:, high]),
+    )
+
+
+def test_move_tables_match_legal_moves():
+    # n = 0 and 1 leave the low half empty, odd n give the high half the
+    # extra disk, and p = 8 at n = 12 puts 28 pairs over 8**6 high ranks
+    import numpy as np
+
+    from hanoi_bounds.state_space import _digit_matrix, _pair_moves, _top_disks
 
     rng = random.Random(61)
     for p in range(3, 9):
         for n in range(13):
             ranks = np.array([rng.randrange(p**n) for _ in range(50)], dtype=np.int64)
-            looked_up = _tops(ranks, *_top_tables(p, n))
-            direct = _top_disks(_digit_matrix(ranks, p, n), p, n)
-            assert np.array_equal(looked_up, direct.T), (p, n)
+            bits, steps = half_table_moves(ranks, p, n)
+            # the same rule over each rank's own digits, without halves
+            direct = _pair_moves(_top_disks(_digit_matrix(ranks, p, n), p, 0, n), p, n)
+            assert np.array_equal(bits, direct[0]), (p, n)
+            assert np.array_equal(steps, direct[1]), (p, n)
             c = Configuration.from_rank(p, n, int(ranks[0]))
-            by_rules = [min(c.disks_on(peg), default=n) for peg in range(p)]
-            assert looked_up[:, 0].tolist() == by_rules, (p, n)
+            emitted = sorted(
+                (c.rank() + int(step), int(bit)) for bit, step in zip(bits[:, 0], steps[:, 0]) if step
+            )
+            assert emitted == sorted(
+                (apply_move(c, m).rank(), 1 << m.disk) for m in legal_moves(c)
+            ), (p, n)
 
 
 def test_vectorized_neighbors_match_legal_moves():
     import numpy as np
-
-    from hanoi_bounds.state_space import _pair_moves, _top_tables, _tops
 
     rng = random.Random(31)
     for _ in range(40):
         p = rng.randint(3, 8)
         n = rng.randint(1, 6)
         c = random_config(rng, p, n)
-        ranks = np.array([c.rank()], dtype=np.int64)
-        tops = _tops(ranks, *_top_tables(p, n))
-        pairs = [(int(moved[0]), int(step[0])) for moved, step in _pair_moves(tops, p, n)]
+        bits, steps = half_table_moves(np.array([c.rank()], dtype=np.int64), p, n)
+        pairs = [(int(bit[0]), int(step[0])) for bit, step in zip(bits, steps)]
         assert len(pairs) == p * (p - 1) // 2
         # a pair moves nothing exactly when both its pegs are empty
-        assert all((disk == n) == (step == 0) for disk, step in pairs)
-        emitted = sorted((c.rank() + step, disk) for disk, step in pairs if disk < n)
+        assert all((bit == 0) == (step == 0) for bit, step in pairs)
+        emitted = sorted((c.rank() + step, bit.bit_length() - 1) for bit, step in pairs if bit)
         via_moves = sorted(
             (apply_move(c, m).rank(), m.disk) for m in legal_moves(c)
         )
@@ -255,20 +277,16 @@ def test_vectorized_neighbors_match_legal_moves():
 def test_pair_moves_undo_themselves():
     import numpy as np
 
-    from hanoi_bounds.state_space import _pair_moves, _top_tables, _tops
-
     rng = random.Random(37)
     for p in range(3, 9):
         for n in range(1, 7):
-            tables = _top_tables(p, n)
             ranks = np.array([rng.randrange(p**n) for _ in range(60)], dtype=np.int64)
-            forward = list(_pair_moves(_tops(ranks, *tables), p, n))
-            for k, (moved, step) in enumerate(forward):
-                nbrs = ranks + step
-                back = list(_pair_moves(_tops(nbrs, *tables), p, n))
-                back_moved, back_step = back[k]
-                assert np.array_equal(nbrs + back_step, ranks), (p, n, k)
-                assert np.array_equal(back_moved, moved), (p, n, k)
+            bits, steps = half_table_moves(ranks, p, n)
+            for k in range(len(steps)):
+                nbrs = ranks + steps[k]
+                back_bits, back_steps = half_table_moves(nbrs, p, n)
+                assert np.array_equal(nbrs + back_steps[k], ranks), (p, n, k)
+                assert np.array_equal(back_bits[k], bits[k]), (p, n, k)
 
 
 def test_adjacency_rows_match_legal_moves():
@@ -299,7 +317,7 @@ def test_one_level_emits_every_unseen_neighbour_once():
     # both searches' level steps must emit each unseen successor exactly once
     import numpy as np
 
-    from hanoi_bounds.state_space import _adjacency, _expand, _expand_product, _top_tables
+    from hanoi_bounds.state_space import _adjacency, _expand, _expand_product, _move_tables
 
     rng = random.Random(67)
     for _ in range(60):
@@ -311,7 +329,8 @@ def test_one_level_emits_every_unseen_neighbour_once():
         seen = set(frontier) | set(rng.sample(range(size), rng.randint(0, size)))
         table = np.zeros(size, dtype=bool)
         table[sorted(seen)] = True
-        fresh = _expand(np.array(frontier, dtype=np.int64), table, _top_tables(p, n), p, n)
+        split, (_, low), (_, high) = _move_tables(p, n)
+        fresh = _expand(np.array(frontier, dtype=np.int64), table, split, low, high)
         expected = set()
         for r in frontier:
             c = Configuration.from_rank(p, n, r)
@@ -367,8 +386,10 @@ def test_exact_H_values(p, n, expected):
 
 
 def test_exact_H_matches_phi_closed():
-    # 2**n - 1 at 3 pegs; Bousch's theorem at 4
-    for p, top in ((3, 12), (4, 10)):
+    # 2**n - 1 at 3 pegs; Bousch's theorem at 4; from 5 pegs the Frame-Stewart
+    # value, which exhaustive searches match at these sizes.  The grid puts a
+    # 4-disk high half and up to 28 peg pairs under a closed-form check.
+    for p, top in ((3, 12), (4, 10), (5, 8), (6, 7), (7, 6), (8, 6)):
         for n in range(top + 1):
             assert exact_H(p, n) == phi_closed(p, n), (p, n)
 
@@ -502,6 +523,59 @@ def test_memory_check_counts_the_tables_searched_and_the_cgroup_limit(monkeypatc
     monkeypatch.setattr(state_space, "_cgroup_limit", lambda: 4**8)
     with pytest.raises(CapExceededError, match="cgroup memory limit"):
         exact_H(4, 8)
+
+
+def test_memory_check_counts_every_table_a_search_builds(monkeypatch):
+    # the bytes _check_memory weighs must be the tables the search then
+    # builds: half move tables, mirror tables, dense adjacency, seen tables
+    import numpy as np
+
+    counted, built = [], []
+    monkeypatch.setattr(state_space, "_check_memory", lambda nbytes, what: counted.append(nbytes))
+
+    def collect(value):
+        if isinstance(value, np.ndarray):
+            built.append(value)
+        elif isinstance(value, tuple):
+            for item in value:
+                collect(item)
+
+    def recording(builder):
+        def wrapped(*args):
+            tables = builder(*args)
+            collect(tables)
+            return tables
+
+        return wrapped
+
+    class SeenTables:  # state_space's numpy, recording the bool tables it zeroes
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def zeros(self, *args, **kwargs):
+            table = np.zeros(*args, **kwargs)
+            if table.dtype == bool:
+                built.append(table)
+            return table
+
+    for name in ("_move_tables", "_mirror_tables", "_adjacency"):
+        monkeypatch.setattr(state_space, name, recording(getattr(state_space, name)))
+    monkeypatch.setattr(state_space, "np", SeenTables())
+    # (search, tables built): four half tables (bits and steps per half) each,
+    # with one seen table and two mirror tables for exact_H's mirrored
+    # endpoints, two seen tables for an unrelated pair, and one seen table
+    # and two dense ones for exact_gamma
+    searches = (
+        (lambda: exact_H(5, 7), 7),
+        (lambda: distance(Configuration.all_on(4, 7, 0), Configuration(4, (1,) + (2,) * 6)), 6),
+        (lambda: exact_gamma(4, 5), 7),
+    )
+    for search, tables in searches:
+        counted.clear()
+        built.clear()
+        search()
+        assert len(built) == tables
+        assert counted == [sum(table.nbytes for table in built)]
 
 
 def test_cgroup_limit_reader(monkeypatch, tmp_path):
