@@ -4,15 +4,16 @@ Phi(p, N) is the move count of the Frame-Stewart algorithm: split off the
 top l disks, park them using all p pegs, move the rest with p-1 pegs, then
 unpark.  ``phi_closed`` is the closed form for every p >= 3 and the only
 route the rest of the package calls.  The minimization recurrence
-(``phi_recursive``) and the spectrum sum over bracket-inverse values
-(``phi_spectrum``) are kept only as independent cross-checks: the ``phi``
-verification suite, the ``lemmas`` identities, ``phi --method
-recursive|spectrum|all`` and the tests compare them with the closed form.
+(``phi_recursive``, evaluated by a crossing walk over rows it builds per
+call, and touching no nabla, delta or binomial) and the spectrum sum over
+bracket-inverse values (``phi_spectrum``) are kept only as independent
+cross-checks: the ``phi`` verification suite, the ``lemmas`` identities,
+``phi --method recursive|spectrum|all`` and the tests compare them with the
+closed form.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from typing import Iterable
 
@@ -22,6 +23,7 @@ from .numerics import delta, nabla
 __all__ = [
     "MAX_PATH_MOVES",
     "MAX_PHI_EXPONENT",
+    "MAX_RECURSIVE_DISKS",
     "best_split",
     "check_path_length",
     "frame_stewart_path",
@@ -32,10 +34,16 @@ __all__ = [
     "transfer_moves",
 ]
 
-# The largest m = nabla(p, n), about Phi(p, n)'s bit count, that any Phi route
-# builds: a longer Phi takes over 2 MB and minutes to print in decimal, and
-# n = 10**100 at 8 pegs would exhaust memory.  Phi(4, 10**9) has m = 44,720.
+# The largest m = nabla(p, n), about Phi(p, n)'s bit count, that phi_closed
+# and phi_spectrum build: a longer Phi takes over 2 MB and minutes to print
+# in decimal, and n = 10**100 at 8 pegs would exhaust memory.
+# Phi(4, 10**9) has m = 44,720.
 MAX_PHI_EXPONENT = 1 << 24
+
+# The most disks phi_recursive takes, and the most entries its rows below the
+# top one may hold together.  At 10**6 disks the walk takes about 2 s at 4 or
+# 8 pegs, and 180 MB at 4 pegs, where the top row holds the largest values.
+MAX_RECURSIVE_DISKS = 10**6
 
 # The longest move sequence any construction emits.  Paths hold one Move
 # object per move: main1_essential_path(203), 4.06 million moves, takes 27 s
@@ -62,31 +70,85 @@ def _exponent(p: int, n: int) -> int:
     return m
 
 
-@lru_cache(maxsize=None)
-def _phi_rec(p: int, n: int) -> int:
+def phi_recursive(p: int, n: int) -> int:
+    """Phi(p, n) straight from the minimization recurrence
+    Phi(q, m) = min over k in [1, m - 1] of 2 * Phi(q, k) + Phi(q - 1, m - k),
+    with Phi(q, 0) = 0, Phi(q, 1) = 1 and Phi(3, m) = 2**m - 1.
+
+    Each call builds the rows Phi(q, 0..) for q = low..p as local lists,
+    reading the row below ``low`` as 2**j - 1.  Row q's entry m reads row
+    q - 1 at m - k <= m - 1, so row q is read at most n - (p - q) far; with
+    low = max(4, p - n + 2) the row below is row 3 or is read only at
+    j <= 1, where every row holds j = 2**j - 1.  A row is extended only as
+    far as the row above it asks, one entry at a time, by a loop that
+    climbs down to the row that is short and back up.
+
+    Each entry comes from a split pointer that only moves right, as in
+    ``bounds.dp_lower_bounds``.  Both rows have nondecreasing increments,
+    so f_m(k) = 2 * Phi(q, k) + Phi(q - 1, m - k) is convex in k.  Its
+    increment f_m(k + 1) - f_m(k) subtracts Phi(q - 1, .)'s increment at
+    m - k, which grows with m, so f_m falls wherever f_(m-1) falls and its
+    minimizers never lie left of those of f_(m-1).  The pointer starts at
+    the previous m's split and advances while the next candidate is not
+    larger: O(n) per row where trying every split costs O(n**2).  The
+    argument needs convex rows, so each appended entry's increment is
+    compared with the one before it, and a smaller one raises RuntimeError
+    rather than returning a value the argument does not cover.
+    ``tests/test_frame_stewart.py`` keeps the loop over every split as the
+    reference.
+
+    Raises ValueError, before building any row, when n exceeds
+    MAX_RECURSIVE_DISKS, and while building when the rows below the top
+    one would hold more than MAX_RECURSIVE_DISKS entries together: with p
+    near n each split is 1 and the rows hold about n**2 / 2 entries.
+    """
+    _check_args(p, n)
+    if n > MAX_RECURSIVE_DISKS:
+        raise ValueError(
+            f"phi_recursive needs at most MAX_RECURSIVE_DISKS = "
+            f"{MAX_RECURSIVE_DISKS} disks, got {n}"
+        )
     if n <= 1:
         return n
     if p == 3:
         return (1 << n) - 1
-    best = None
-    for split in range(1, n):
-        value = 2 * _phi_rec(p, split) + _phi_rec(p - 1, n - split)
-        if best is None or value < best:
-            best = value
-    return best
-
-
-def phi_recursive(p: int, n: int) -> int:
-    """Phi(p, n) straight from the minimization recurrence, memoized.
-
-    Base data: Phi(p, 0) = 0, Phi(p, 1) = 1, Phi(3, n) = 2**n - 1.
-    Raises ValueError when n exceeds MAX_PHI_EXPONENT, since the 3-peg
-    base case builds 2**n - 1.
-    """
-    _check_args(p, n)
-    if n > MAX_PHI_EXPONENT:
-        raise ValueError(f"phi_recursive needs n <= MAX_PHI_EXPONENT = {MAX_PHI_EXPONENT}, got {n}")
-    return _phi_rec(p, n)
+    low = max(4, p - n + 2)
+    # rows[0] is the row below low, rows[-1] is row p; splits[i] is the split
+    # of rows[i]'s last entry
+    rows = [[0, 1] for _ in range(low - 1, p + 1)]
+    splits = [1] * len(rows)
+    last = len(rows) - 1
+    top = rows[last]
+    below_entries = 0
+    i = last
+    while len(top) <= n:
+        row, below, k = rows[i], rows[i - 1], splits[i]
+        m = len(row)
+        if len(below) <= m - k:  # the first candidate reads below[m - k]
+            below_entries += 1
+            if below_entries > MAX_RECURSIVE_DISKS:
+                raise ValueError(
+                    f"phi_recursive({p}, {n}) needs more than MAX_RECURSIVE_DISKS = "
+                    f"{MAX_RECURSIVE_DISKS} entries in the rows below its top one"
+                )
+            if i == 1:
+                below.append((1 << len(below)) - 1)
+            else:
+                i -= 1
+            continue
+        best = 2 * row[k] + below[m - k]
+        while k + 1 < m:
+            candidate = 2 * row[k + 1] + below[m - k - 1]
+            if candidate > best:
+                break
+            best, k = candidate, k + 1
+        if best - row[-1] < row[-1] - row[-2]:
+            raise RuntimeError(f"Phi({low + i - 1}, .) lost convexity at {m} disks")
+        row.append(best)
+        splits[i] = k
+        if i < last:
+            i += 1
+    return top[n]
 
 
 def phi_spectrum(p: int, n: int) -> int:

@@ -56,9 +56,30 @@ def test_phi_prints_past_the_int_digit_limit(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+def test_phi_recursive_past_the_recursion_limit(capsys):
+    # min(p, n) above the default recursion limit of 1000: the rows are
+    # built by a loop, where a recursion over pegs ended in RecursionError
+    outputs = {}
+    for method in ("recursive", "closed"):
+        code, outputs[method], _ = run(
+            capsys, "phi", "--pegs", "1100", "--disks", "1100", "--method", method
+        )
+        assert code == 0, method
+    assert outputs["recursive"] == outputs["closed"] == "2201\n"
+
+
+def test_phi_recursive_past_the_disk_limit_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "phi", "--pegs", "4", "--disks", "1000001", "--method", "recursive"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "MAX_RECURSIVE_DISKS" in err
+
+
 def test_phi_too_large_to_build_is_a_usage_error(capsys):
-    # every route refuses before building: recursive's 3-peg base case
-    # would overflow, spectrum's sum would run for ever
+    # every route refuses before building: recursive's rows would exhaust
+    # memory, spectrum's sum would run for ever; all runs recursive first
     for method in ("closed", "recursive", "spectrum", "all"):
         start = time.perf_counter()
         code, out, err = run(
@@ -67,7 +88,8 @@ def test_phi_too_large_to_build_is_a_usage_error(capsys):
         assert time.perf_counter() - start < 1, method
         assert code == 2, method
         assert out == ""
-        assert err.startswith("error: ") and "MAX_PHI_EXPONENT" in err
+        limit = "MAX_RECURSIVE_DISKS" if method in ("recursive", "all") else "MAX_PHI_EXPONENT"
+        assert err.startswith("error: ") and limit in err, method
     # the largest Phi the benchmark asks for, 13,467 digits, still prints
     code, out, _ = run(capsys, "phi", "--pegs", "4", "--disks", str(10**9))
     assert code == 0

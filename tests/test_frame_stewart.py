@@ -2,10 +2,12 @@ import time
 
 import pytest
 
+from hanoi_bounds import frame_stewart
 from hanoi_bounds.core import Configuration, is_essential
 from hanoi_bounds.frame_stewart import (
     MAX_PATH_MOVES,
     MAX_PHI_EXPONENT,
+    MAX_RECURSIVE_DISKS,
     _SPECTRUM_LEAF,
     best_split,
     frame_stewart_path,
@@ -41,6 +43,56 @@ def test_phi_recursive_rejects_bad_arguments():
         phi_closed(2, 3)
     with pytest.raises(ValueError):
         phi_closed(4, -1)
+
+
+def _phi_every_split(p, n_max):
+    # the reference for phi_recursive: the same recurrence, trying every
+    # split k instead of walking the pointer, O(p * n_max**2)
+    row = [(1 << n) - 1 for n in range(n_max + 1)]
+    for _ in range(4, p + 1):
+        prev = row
+        row = list(range(min(n_max, 1) + 1))
+        for n in range(2, n_max + 1):
+            row.append(min(2 * row[k] + prev[n - k] for k in range(1, n)))
+    return row
+
+
+def test_phi_recursive_matches_every_split():
+    for p in range(3, 9):
+        assert [phi_recursive(p, n) for n in range(61)] == _phi_every_split(p, 60)
+
+
+def test_phi_recursive_matches_closed():
+    for p in range(3, 11):
+        for n in range(401):
+            assert phi_recursive(p, n) == phi_closed(p, n)
+
+
+def test_phi_recursive_at_a_hundred_thousand_disks():
+    # the walk builds O(p * N) entries; the memoized loop over every split
+    # ran for minutes here
+    start = time.perf_counter()
+    for p in (4, 8):
+        assert phi_recursive(p, 10**5) == phi_closed(p, 10**5)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_phi_recursive_with_more_pegs_than_disks():
+    # the rows start at p - n + 2, so a billion pegs build four short rows
+    assert phi_recursive(10**9, 5) == 9
+
+
+def test_phi_recursive_refuses_past_the_disk_limit(monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="MAX_RECURSIVE_DISKS"):
+        phi_recursive(4, MAX_RECURSIVE_DISKS + 1)
+    assert time.perf_counter() - start < 1.0
+    # with p near n every split is 1 and the rows below the top hold about
+    # n**2 / 2 entries; the walk refuses once they pass the same limit
+    monkeypatch.setattr(frame_stewart, "MAX_RECURSIVE_DISKS", 1000)
+    assert phi_recursive(8, 1000) == phi_closed(8, 1000)
+    with pytest.raises(ValueError, match="entries in the rows below"):
+        phi_recursive(100, 100)
 
 
 def test_phi_closed_refuses_past_the_exponent_limit():
