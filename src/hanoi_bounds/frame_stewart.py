@@ -2,18 +2,15 @@
 
 Phi(p, N) is the move count of the Frame-Stewart algorithm: split off the
 top l disks, park them using all p pegs, move the rest with p-1 pegs, then
-unpark.  ``phi_closed`` is the closed form for every p >= 3 and the only
-route the rest of the package calls.  The minimization recurrence
-(``phi_recursive``, evaluated by a crossing walk over rows it builds per
-call, and touching no nabla, delta or binomial) and the spectrum sum over
-bracket-inverse values (``phi_spectrum``) are kept only as independent
-cross-checks: the ``phi`` verification suite, the ``lemmas`` identities,
-``phi --method recursive|spectrum|all`` and the tests compare them with the
-closed form.
+unpark.  The rest of the package calls only ``phi_closed``, p - 2 Horner
+steps for up to MAX_CLOSED_PEGS pegs.  The recurrence (``phi_recursive``, a
+crossing walk) and the spectrum sum (``phi_spectrum``, by parts, one binomial
+per block) are independent cross-checks for the verify suites and the tests.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import comb
 from typing import Iterable
 
@@ -21,6 +18,7 @@ from .core import Configuration, Move, MovePath
 from .numerics import delta, nabla
 
 __all__ = [
+    "MAX_CLOSED_PEGS",
     "MAX_PATH_MOVES",
     "MAX_PHI_EXPONENT",
     "MAX_RECURSIVE_DISKS",
@@ -39,6 +37,9 @@ __all__ = [
 # in decimal, and n = 10**100 at 8 pegs would exhaust memory.
 # Phi(4, 10**9) has m = 44,720.
 MAX_PHI_EXPONENT = 1 << 24
+
+# The most pegs phi_closed takes: quadratic in p, 0.4 s here on a 2-core x86.
+MAX_CLOSED_PEGS = 1 << 15
 
 # The most disks phi_recursive takes, and the most entries its rows below the
 # top one may hold together.  At 10**6 disks the walk takes about 2 s at 4 or
@@ -152,41 +153,35 @@ def phi_recursive(p: int, n: int) -> int:
 
 
 def phi_spectrum(p: int, n: int) -> int:
-    """Phi(p, n) as the sum of 2**nabla(p, k) over k < n.
+    """Phi(p, n) as the sum of 2**nabla(p, k) over k < n, summed by parts.
 
-    Consecutive k share the same bracket-inverse value, so the sum is taken
-    block by block: all k with nabla(p, k) = j form the interval
-    [delta(p, j), delta(p, j+1)), and the blocks j <= m = nabla(p, n) cover
-    k < n.  The blocks are added by halving (``_spectrum_sum``), so the cost
-    is m + 1 delta values and O(m log m) bit operations, where adding them
-    one by one costs O(m**2).  The terms are the spectrum's, not
-    ``phi_closed``'s, so this stays an independent cross-check of the
-    closed form.  Raises ValueError, before summing, when m exceeds
-    MAX_PHI_EXPONENT.
+    With m = nabla(p, n), block j = {k : nabla(p, k) = j} holds
+    delta(p, j + 1) - delta(p, j) values of k for j < m and n - delta(p, m)
+    for j = m, so each delta(p, j) enters the sum times 2**(j - 1) - 2**j:
+
+        sum over k < n of 2**nabla(p, k) = n * 2**m - sum over j in [1, m] of delta(p, j) * 2**(j - 1).
+
+    ``_spectrum_sum`` adds the delta terms, one binomial per block, never
+    calling ``phi_closed`` or its F(m).  ValueError when m > MAX_PHI_EXPONENT.
     """
     _check_args(p, n)
-    return _spectrum_sum(p, n, 0, _exponent(p, n) + 1)
+    m = _exponent(p, n)
+    return (n << m) - _spectrum_sum(p, 1, m + 1)
 
 
-# Below this many blocks, _spectrum_sum adds by Horner's rule: the partial
-# sums stay a few words long, so halving further saves nothing.
-_SPECTRUM_LEAF = 64
+# Blocks per _spectrum_sum leaf: of 128 to 4,096, fastest at 4-8 pegs on 2-core x86.
+_SPECTRUM_LEAF = 1024
 
 
-def _spectrum_sum(p: int, n: int, lo: int, hi: int) -> int:
-    """The sum over blocks j in [lo, hi) of c_j * 2**(j - lo), where
-    c_j = min(delta(p, j + 1), n) - min(delta(p, j), n) counts the k < n
-    with nabla(p, k) = j: the lower half plus the upper half shifted left
-    by mid - lo."""
+def _spectrum_sum(p: int, lo: int, hi: int) -> int:
+    """The sum over j in [lo, hi) of delta(p, j) * 2**(j - lo), by halving down
+    to leaves that add their row of C(j + p - 3, p - 2) by Horner's rule."""
     if hi - lo > _SPECTRUM_LEAF:
         mid = (lo + hi) // 2
-        return _spectrum_sum(p, n, lo, mid) + (_spectrum_sum(p, n, mid, hi) << (mid - lo))
+        return _spectrum_sum(p, lo, mid) + (_spectrum_sum(p, mid, hi) << (mid - lo))
     total = 0
-    upper = min(delta(p, hi), n)
-    for j in range(hi - 1, lo - 1, -1):
-        lower = min(delta(p, j), n)
-        total = (total << 1) + upper - lower
-        upper = lower
+    for d in map(comb, reversed(range(lo + p - 3, hi + p - 3)), repeat(p - 2)):
+        total = (total << 1) + d
     return total
 
 
@@ -195,14 +190,18 @@ def phi_closed(p: int, n: int) -> int:
     F(j) = sum over i in [0, p-3] of (-2)**i * C(j + p - 3, p - 3 - i),
     the value is (F(m) + n - delta(p, m)) * 2**m - F(0).
 
-    F(0) = (-1)**(p-3), so the cost is p - 2 binomials whatever n is.
-    Raises ValueError, before shifting, when m exceeds MAX_PHI_EXPONENT.
+    F(0) = (-1)**(p-3), and F(m) takes p - 2 Horner steps, each binomial
+    from the one before it.  Raises ValueError, before any binomial, when p
+    > MAX_CLOSED_PEGS, and before shifting when m > MAX_PHI_EXPONENT.
     """
     _check_args(p, n)
+    if p > MAX_CLOSED_PEGS:
+        raise ValueError(f"phi_closed takes at most MAX_CLOSED_PEGS = {MAX_CLOSED_PEGS} pegs, got {p}")
     m = _exponent(p, n)
-    f_m = 0
+    f_m, c = 0, 1  # c = C(m + p - 3, k)
     for k in range(p - 2):  # Horner: the C(., k) term ends up times (-2)**(p-3-k)
-        f_m = comb(m + p - 3, k) - 2 * f_m
+        f_m = c - 2 * f_m
+        c = c * (m + p - 3 - k) // (k + 1)
     return ((f_m + n - delta(p, m)) << m) - (-1) ** (p - 3)
 
 

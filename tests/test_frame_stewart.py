@@ -5,6 +5,7 @@ import pytest
 from hanoi_bounds import frame_stewart
 from hanoi_bounds.core import Configuration, is_essential
 from hanoi_bounds.frame_stewart import (
+    MAX_CLOSED_PEGS,
     MAX_PATH_MOVES,
     MAX_PHI_EXPONENT,
     MAX_RECURSIVE_DISKS,
@@ -16,7 +17,7 @@ from hanoi_bounds.frame_stewart import (
     phi_recursive,
     phi_spectrum,
 )
-from hanoi_bounds.numerics import delta
+from hanoi_bounds.numerics import delta, nabla
 
 
 @pytest.mark.parametrize(
@@ -95,6 +96,25 @@ def test_phi_recursive_refuses_past_the_disk_limit(monkeypatch):
         phi_recursive(100, 100)
 
 
+def test_phi_closed_at_many_pegs():
+    # p - 2 Horner steps, each binomial from the one before it; computing
+    # every C(m + p - 3, k) from scratch took over 100 s at 20,000 pegs
+    start = time.perf_counter()
+    assert phi_closed(20000, 5) == phi_recursive(20000, 5) == 9
+    for n in (5, 10**6, 10**12):
+        assert phi_closed(MAX_CLOSED_PEGS, n) == phi_spectrum(MAX_CLOSED_PEGS, n)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_phi_closed_refuses_past_the_peg_limit(monkeypatch):
+    def nabla(p, n):
+        raise AssertionError("phi_closed took a binomial past the peg limit")
+
+    monkeypatch.setattr(frame_stewart, "nabla", nabla)
+    with pytest.raises(ValueError, match="MAX_CLOSED_PEGS"):
+        phi_closed(MAX_CLOSED_PEGS + 1, 5)
+
+
 def test_phi_closed_refuses_past_the_exponent_limit():
     with pytest.raises(ValueError, match="MAX_PHI_EXPONENT"):
         phi_closed(8, 10**100)
@@ -123,21 +143,53 @@ def test_three_routes_agree_on_a_grid():
         for n in range(0, 400):
             assert phi_closed(p, n) == phi_spectrum(p, n)
     for p in range(5, 9):
-        # the spectrum sum takes at most tens of milliseconds here
+        # the spectrum sum takes a few milliseconds here
         assert phi_closed(p, 10**12 + 12345) == phi_spectrum(p, 10**12 + 12345)
     for n in range(1, 500):
         assert phi_spectrum(4, n) == phi4_closed(n)
     for n in (10**9, 10**10):
-        for offset in (0, 1, 12345):
+        for offset in (0, 1, 99, 12345):
             assert phi_closed(4, n + offset) == phi_spectrum(4, n + offset)
-    # n = delta(p, j) - 1, delta(p, j), delta(p, j) + 1 give the halving sum
-    # nabla(p, n) + 1 = j or j + 1 blocks, so j around the leaf size and its
-    # doubles covers both sides of each block count where a halving level starts
+
+
+def _spectrum_blocks(p, n):
+    # the reference for phi_spectrum: the spectrum sum block by block, block
+    # j (the k < n with nabla(p, k) = j) adding c_j * 2**j, O(m**2) bit operations
+    return sum(
+        (min(delta(p, j + 1), n) - min(delta(p, j), n)) << j for j in range(nabla(p, n) + 1)
+    )
+
+
+def test_phi_spectrum_matches_the_block_sum():
+    for p in range(3, 11):
+        for n in range(400):
+            assert phi_spectrum(p, n) == _spectrum_blocks(p, n)
+
+
+def test_phi_spectrum_across_leaf_edges():
+    # n = delta(p, m) - 1, delta(p, m), delta(p, m) + 1 give nabla(p, n) = m - 1
+    # or m, the number of blocks the halving sum adds, so m around the leaf
+    # size, its double and its quadruple crosses each edge where a first,
+    # second and third halving level starts
     leaf = _SPECTRUM_LEAF
     for p in range(4, 9):
-        for j in (leaf * k + d for k in (1, 2, 4) for d in (-1, 0, 1)):
-            for n in (delta(p, j) - 1, delta(p, j), delta(p, j) + 1):
-                assert phi_closed(p, n) == phi_spectrum(p, n)
+        for m in (leaf * k + d for k in (1, 2, 4) for d in (-1, 0, 1)):
+            for n in (delta(p, m) - 1, delta(p, m), delta(p, m) + 1):
+                assert phi_spectrum(p, n) == _spectrum_blocks(p, n) == phi_closed(p, n)
+
+
+def test_phi_spectrum_stays_independent_of_the_closed_form(monkeypatch):
+    def closed(p, n):
+        raise AssertionError("phi_spectrum called phi_closed")
+
+    expected = phi_closed(4, 10**10 + 99)
+    monkeypatch.setattr(frame_stewart, "phi_closed", closed)
+    start = time.perf_counter()
+    assert phi_spectrum(4, 10**10 + 99) == expected
+    # many pegs: few blocks, and each binomial C(j + p - 3, p - 2) is cheap
+    assert phi_spectrum(10**9, 5) == 9
+    assert phi_spectrum(10**6, 10**12) == _spectrum_blocks(10**6, 10**12)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_phi_monotone_in_disks_and_pegs():
