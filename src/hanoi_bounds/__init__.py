@@ -19,11 +19,7 @@ from .bounds import (
     chen_shen_bound,
     dp_lower_bound,
     dp_lower_bounds,
-    gamma3_formula,
-    gamma4_formula,
-    gamma_conjecture,
     gamma_formula,
-    gamma_upper_general,
     main2_bound,
 )
 from .constructions import main1_essential_path, midpoint_path, two1_tight_pair
@@ -41,7 +37,6 @@ from .dyadic import DyadicRational
 from .frame_stewart import (
     best_split,
     frame_stewart_path,
-    phi4_closed,
     phi_closed,
     phi_recursive,
     phi_spectrum,
@@ -100,18 +95,13 @@ __all__ = [
     "exact_H",
     "exact_gamma",
     "frame_stewart_path",
-    "gamma3_formula",
-    "gamma4_formula",
-    "gamma_conjecture",
     "gamma_formula",
-    "gamma_upper_general",
     "is_essential",
     "legal_moves",
     "main1_essential_path",
     "main2_bound",
     "midpoint_path",
     "nabla",
-    "phi4_closed",
     "phi_closed",
     "phi_recursive",
     "phi_spectrum",

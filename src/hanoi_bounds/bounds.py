@@ -25,11 +25,7 @@ __all__ = [
     "chen_shen_bound",
     "dp_lower_bound",
     "dp_lower_bounds",
-    "gamma3_formula",
-    "gamma4_formula",
-    "gamma_conjecture",
     "gamma_formula",
-    "gamma_upper_general",
     "main2_bound",
 ]
 
@@ -80,22 +76,30 @@ def gamma_formula(p: int, n: int) -> tuple[int, Literal["exact", "conjectured"]]
 
 
 def gamma3_formula(n: int) -> int:
-    """Gamma(3, n): n for n <= 1, otherwise 1 + 2**(n-2) (Szegedy)."""
+    """Gamma(3, n): n for n <= 1, otherwise 1 + 2**(n-2) (Szegedy).  Kept
+    by name because ``perfbench/tracing.py`` wraps it; the package reads
+    Gamma's closed form only through gamma_formula."""
     return gamma_formula(3, n)[0]
 
 
 def gamma4_formula(n: int) -> int:
-    """Gamma(4, n): n for n <= 2, otherwise 3 + (Phi(4, n) - 5) / 4."""
+    """Gamma(4, n): n for n <= 2, otherwise 3 + (Phi(4, n) - 5) / 4.  Kept
+    by name because ``perfbench/tracing.py`` wraps it; the package reads
+    Gamma's closed form only through gamma_formula."""
     return gamma_formula(4, n)[0]
 
 
 def gamma_conjecture(p: int, n: int) -> int:
-    """Conjectured Gamma(p, n); equal to the proven formulas for p <= 4."""
+    """Conjectured Gamma(p, n); equal to the proven formulas for p <= 4.
+    Kept by name because ``perfbench/tracing.py`` wraps it; the package
+    reads Gamma's closed form only through gamma_formula."""
     return gamma_formula(p, n)[0]
 
 
 def gamma_upper_general(p: int, n: int) -> int:
-    """Upper bound on Gamma(p, n) for n >= p - 1: the gamma_formula value."""
+    """Upper bound on Gamma(p, n) for n >= p - 1: the gamma_formula value.
+    Kept by name because ``perfbench/tracing.py`` wraps it; the package
+    reads Gamma's closed form only through gamma_formula."""
     if n < p - 1:
         raise ValueError(f"defined for at least {p - 1} disks, got {n}")
     return gamma_formula(p, n)[0]
@@ -120,6 +124,11 @@ def dp_lower_bounds(p: int, n_max: int) -> list[int]:
     only grows, so l* never moves left and one pointer walks it: O(n_max)
     per row and O(p * n_max) in all.  ``tests/test_bounds.py`` keeps the
     loop over every split as the reference.
+
+    Row q + 1 is computed from row q alone, so once a row equals the row
+    before it every later row is the same, and the loop stops there: at
+    q = 5, 8 and 11 for n_max = 5, 50 and 300, so a billion pegs build only
+    those rows.
 
     Raises ValueError, before building any row, when n_max exceeds
     MAX_DP_DISKS.
@@ -150,6 +159,8 @@ def dp_lower_bounds(p: int, n_max: int) -> list[int]:
             if split > 1:
                 best = max(best, 2 * prev[split - 1])
             row[n] = best
+        if row == prev:
+            break
     return row
 
 

@@ -4,8 +4,10 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage error, 3 search cap exceeded.
 
 The search engine (``state_space``, and numpy with it) is imported only by
-the commands that run a search: ``distance``, ``gamma --exact`` on a cache
-miss, and the ``verify`` suites that search (``verify`` imports it itself).
+the commands that run a search: ``distance``, ``gamma --exact`` and the
+``verify`` suites that search.  ``gamma --exact`` and the suites fetch
+searched values through ``verify.cached``, the one search path, which
+imports the engine on a cache miss only.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .core import (
     path_to_json_dict,
     path_to_text,
 )
+from .dyadic import DyadicRational
 from .frame_stewart import phi_closed, phi_recursive, phi_spectrum
 from .numerics import decompose
 from .potential import NotApplicableError, psi
@@ -64,14 +67,8 @@ def cmd_gamma(args: argparse.Namespace) -> int:
         print(f"{formula}{marker}")
         return EXIT_OK
     cache = ResultCache(enabled=not args.no_cache)
-
-    def search(p: int, n: int) -> int:
-        from . import state_space
-
-        return state_space.exact_gamma(p, n, cap=args.product_cap)
-
     try:
-        measured = cached("gamma", search, p, n, cache)
+        measured = cached("gamma", p, n, cache, cap=args.product_cap)
     finally:
         cache.save()
     print(f"formula {formula}{marker}")
@@ -94,7 +91,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     def fmt(value):
         if value is None:
             return "n/a"
-        if isinstance(value, bounds_mod.DyadicRational):
+        if isinstance(value, DyadicRational):
             return f"{value} (ceil {value.ceil()})"
         return str(value)
 

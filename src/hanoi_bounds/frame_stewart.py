@@ -2,10 +2,11 @@
 
 Phi(p, N) is the move count of the Frame-Stewart algorithm: split off the
 top l disks, park them using all p pegs, move the rest with p-1 pegs, then
-unpark.  The rest of the package calls only ``phi_closed``, p - 2 Horner
-steps for up to MAX_CLOSED_PEGS pegs.  The recurrence (``phi_recursive``, a
-crossing walk) and the spectrum sum (``phi_spectrum``, by parts, one binomial
-per block) are independent cross-checks for the verify suites and the tests.
+unpark.  The rest of the package calls only ``phi_closed``, min(p - 2,
+nabla(p, N)) Horner steps at any peg count.  The recurrence
+(``phi_recursive``, a crossing walk) and the spectrum sum (``phi_spectrum``,
+by parts, one binomial per block) are independent cross-checks for the
+verify suites and the tests.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ from .core import Configuration, Move, MovePath
 from .numerics import delta, nabla
 
 __all__ = [
-    "MAX_CLOSED_PEGS",
     "MAX_PATH_MOVES",
     "MAX_PHI_EXPONENT",
     "MAX_RECURSIVE_DISKS",
     "best_split",
     "check_path_length",
     "frame_stewart_path",
-    "phi4_closed",
     "phi_closed",
     "phi_recursive",
     "phi_spectrum",
@@ -37,9 +36,6 @@ __all__ = [
 # in decimal, and n = 10**100 at 8 pegs would exhaust memory.
 # Phi(4, 10**9) has m = 44,720.
 MAX_PHI_EXPONENT = 1 << 24
-
-# The most pegs phi_closed takes: quadratic in p, 0.4 s here on a 2-core x86.
-MAX_CLOSED_PEGS = 1 << 15
 
 # The most disks phi_recursive takes, and the most entries its rows below the
 # top one may hold together.  At 10**6 disks the walk takes about 2 s at 4 or
@@ -190,18 +186,28 @@ def phi_closed(p: int, n: int) -> int:
     F(j) = sum over i in [0, p-3] of (-2)**i * C(j + p - 3, p - 3 - i),
     the value is (F(m) + n - delta(p, m)) * 2**m - F(0).
 
-    F(0) = (-1)**(p-3), and F(m) takes p - 2 Horner steps, each binomial
-    from the one before it.  Raises ValueError, before any binomial, when p
-    > MAX_CLOSED_PEGS, and before shifting when m > MAX_PHI_EXPONENT.
+    F(0) = (-1)**(p-3).  By the symmetry of the row C(m + p - 3, .),
+    F(m) * (-2)**m is the part from k = m on of the sum of
+    C(m + p - 3, k) * (-2)**k over the row, which is (-1)**(m + p - 3).  So
+    F(m) * 2**m - F(0) = -(-1)**m * T, with T the part before k = m.  The
+    shorter of the two sums is taken, F(m) in p - 2 Horner steps or T in m,
+    each binomial from the one before it, so any peg count is answered in
+    min(p - 2, m) steps.  Raises ValueError before any binomial when m >
+    MAX_PHI_EXPONENT.
     """
     _check_args(p, n)
-    if p > MAX_CLOSED_PEGS:
-        raise ValueError(f"phi_closed takes at most MAX_CLOSED_PEGS = {MAX_CLOSED_PEGS} pegs, got {p}")
     m = _exponent(p, n)
-    f_m, c = 0, 1  # c = C(m + p - 3, k)
+    top = m + p - 3
+    if m < p - 2:
+        t, c = 0, comb(top, m)
+        for k in reversed(range(m)):  # Horner: the C(top, k) term ends up times (-2)**k
+            c = c * (k + 1) // (top - k)  # C(top, k) from C(top, k + 1)
+            t = c - 2 * t
+        return ((n - delta(p, m)) << m) - (-1) ** m * t
+    f_m, c = 0, 1  # c = C(top, k)
     for k in range(p - 2):  # Horner: the C(., k) term ends up times (-2)**(p-3-k)
         f_m = c - 2 * f_m
-        c = c * (m + p - 3 - k) // (k + 1)
+        c = c * (top - k) // (k + 1)
     return ((f_m + n - delta(p, m)) << m) - (-1) ** (p - 3)
 
 

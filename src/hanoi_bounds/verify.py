@@ -6,13 +6,17 @@ suite's default disk grid (bounds-sandwich clamps its grid to it instead);
 None keeps the default.  The CLI's ``verify`` command and the acceptance
 tests both run these functions, so the criteria are written once.
 
+``cached`` is the one path to a searched value: the suites here, the CLI's
+``gamma --exact`` and the acceptance tests all fetch Gamma and H through
+it, and Gamma's closed form is read only through ``bounds.gamma_formula``.
+
 The library is called through module attributes (``state_space.exact_gamma``,
 never a function imported by name): the benchmark's tracer
 (``perfbench/tracing.py``) rebinds names only in the modules it lists, and
 this way it still sees every call made from here.
 
 ``state_space``, and numpy with it, is imported only where a search runs:
-on a cache miss in ``_gamma`` / ``_H``, and in the ``lemmas`` suite's
+on a cache miss in ``cached``, and in the ``lemmas`` suite's
 potential-versus-distance sweep.  Suites answered by formulas or by the
 cache never load the search engine.
 """
@@ -48,35 +52,24 @@ def _case(name: str, ok: bool, detail: str) -> Case:
     return Case(name, "PASS" if ok else "FAIL", detail)
 
 
-def cached(
-    kind: str, search: Callable[[int, int], int], p: int, n: int, cache: ResultCache
-) -> int:
-    """``search(p, n)``, memoized in ``cache`` under ``kind``."""
+def cached(kind: str, p: int, n: int, cache: ResultCache, cap: int | None = None) -> int:
+    """The searched value of ``kind`` at (p, n), memoized in ``cache``:
+    ``"gamma"`` is ``state_space.exact_gamma`` and ``"H"`` is
+    ``state_space.exact_H``, each run with ``cap`` on a cache miss only."""
     value = cache.get(kind, p, n)
     if value is None:
-        value = search(p, n)
+        from . import state_space
+
+        search = {"gamma": state_space.exact_gamma, "H": state_space.exact_H}[kind]
+        value = search(p, n, cap=cap)
         cache.put(kind, p, n, value)
     return value
 
 
-def _exact_gamma(p: int, n: int) -> int:
-    from . import state_space
-
-    return state_space.exact_gamma(p, n)
-
-
-def _exact_H(p: int, n: int) -> int:
-    from . import state_space
-
-    return state_space.exact_H(p, n)
-
-
-def _gamma(p: int, n: int, cache: ResultCache) -> int:
-    return cached("gamma", _exact_gamma, p, n, cache)
-
-
-def _H(p: int, n: int, cache: ResultCache) -> int:
-    return cached("H", _exact_H, p, n, cache)
+def _none_bad(name: str, bad: list, detail: str) -> Case:
+    """PASS when ``bad`` is empty, else FAIL with ``detail`` formatted by
+    the first bad value."""
+    return _case(name, not bad, detail.format(bad[0]) if bad else "")
 
 
 def _suite_phi(max_disks: int | None, cache: ResultCache) -> list[Case]:
@@ -87,72 +80,54 @@ def _suite_phi(max_disks: int | None, cache: ResultCache) -> list[Case]:
     cases = []
     for p in range(3, 11):
         bad = [n for n in range(rec_limit + 1) if len({route(p, n) for route in routes}) != 1]
-        cases.append(
-            _case(
-                f"phi recursive=spectrum=closed p={p} N<={rec_limit}",
-                not bad,
-                f"first mismatch at N={bad[0]}" if bad else "",
-            )
-        )
+        cases.append(_none_bad(f"phi recursive=spectrum=closed p={p} N<={rec_limit}", bad, "first mismatch at N={}"))
     bad = [
         n
         for n in range(closed_limit + 1)
         if frame_stewart.phi_spectrum(4, n) != frame_stewart.phi_closed(4, n)
     ]
-    cases.append(
-        _case(
-            f"phi spectrum=closed p=4 N<={closed_limit}",
-            not bad,
-            f"first mismatch at N={bad[0]}" if bad else "",
-        )
-    )
+    cases.append(_none_bad(f"phi spectrum=closed p=4 N<={closed_limit}", bad, "first mismatch at N={}"))
     return cases
 
 
 def _formula_vs_search(
-    p: int, n_max: int, formula: Callable[[int], int], cache: ResultCache
+    kind: str, p: int, ns: range, formula: Callable[[int, int], int], cache: ResultCache
 ) -> list[Case]:
+    """One case per n in ``ns``: the searched ``kind`` against ``formula(p, n)``,
+    SKIP where the search exceeds its cap."""
     cases = []
-    for n in range(n_max + 1):
-        name = f"gamma({p},{n})"
+    for n in ns:
+        name = f"{kind}({p},{n})"
         try:
-            measured = _gamma(p, n, cache)
+            measured = cached(kind, p, n, cache)
         except CapExceededError as exc:
             cases.append(Case(name, "SKIP", str(exc)))
             continue
-        wanted = formula(n)
+        wanted = formula(p, n)
         cases.append(_case(name, measured == wanted, f"search={measured} formula={wanted}"))
     return cases
 
 
 def _suite_szegedy(max_disks: int | None, cache: ResultCache) -> list[Case]:
     limit = max_disks if max_disks is not None else 9
-    return _formula_vs_search(3, limit, bounds.gamma3_formula, cache)
+    formula = lambda p, n: bounds.gamma_formula(p, n)[0]
+    return _formula_vs_search("gamma", 3, range(limit + 1), formula, cache)
 
 
 def _suite_main1(max_disks: int | None, cache: ResultCache) -> list[Case]:
     limit = max_disks if max_disks is not None else 7
-    cases = _formula_vs_search(4, limit, bounds.gamma4_formula, cache)
+    formula = lambda p, n: bounds.gamma_formula(p, n)[0]
+    cases = _formula_vs_search("gamma", 4, range(limit + 1), formula, cache)
     for n in range(3, limit + 1):
         path = constructions.main1_essential_path(n)
-        ok = path.length == bounds.gamma4_formula(n) and core.is_essential(path)
+        ok = path.length == formula(4, n) and core.is_essential(path)
         cases.append(_case(f"construction({n})", ok, f"length={path.length}"))
     return cases
 
 
 def _suite_bousch_h4(max_disks: int | None, cache: ResultCache) -> list[Case]:
     limit = max_disks if max_disks is not None else 10
-    cases = []
-    for n in range(1, limit + 1):
-        name = f"H(4,{n})"
-        try:
-            measured = _H(4, n, cache)
-        except CapExceededError as exc:
-            cases.append(Case(name, "SKIP", str(exc)))
-            continue
-        wanted = frame_stewart.phi_closed(4, n)
-        cases.append(_case(name, measured == wanted, f"search={measured} formula={wanted}"))
-    return cases
+    return _formula_vs_search("H", 4, range(1, limit + 1), frame_stewart.phi_closed, cache)
 
 
 def _suite_conjecture5(max_disks: int | None, cache: ResultCache) -> list[Case]:
@@ -161,11 +136,11 @@ def _suite_conjecture5(max_disks: int | None, cache: ResultCache) -> list[Case]:
     for n in range(limit + 1):
         base = f"gamma(5,{n})"
         try:
-            measured = _gamma(5, n, cache)
+            measured = cached("gamma", 5, n, cache)
         except CapExceededError as exc:
             cases.append(Case(base, "SKIP", str(exc)))
             continue
-        conjectured = bounds.gamma_conjecture(5, n)
+        conjectured = bounds.gamma_formula(5, n)[0]
         if measured == conjectured:
             cases.append(_case(f"{base} vs conjecture", True, f"both {measured}"))
         else:
@@ -234,13 +209,7 @@ def _suite_lemmas(max_disks: int | None, cache: ResultCache) -> list[Case]:
     cases = []
 
     bad = [n for n in range(2, 201) if 2 * potential.psi(range(n)) != phi(4, n + 1) - 1]
-    cases.append(
-        _case(
-            "gathered-set potential identity N<=200",
-            not bad,
-            f"first mismatch at N={bad[0]}" if bad else "",
-        )
-    )
+    cases.append(_none_bad("gathered-set potential identity N<=200", bad, "first mismatch at N={}"))
 
     bad = []
     spectrum = {a: frame_stewart.phi_spectrum(4, a) for a in range(1, 200)}
@@ -248,13 +217,7 @@ def _suite_lemmas(max_disks: int | None, cache: ResultCache) -> list[Case]:
         split_min = min(spectrum[a] + ((1 << (n - a)) - 1) for a in range(1, n))
         if 2 * split_min != phi(4, n + 1) - 1:
             bad.append(n)
-    cases.append(
-        _case(
-            "split-minimum identity N<=200",
-            not bad,
-            f"first mismatch at N={bad[0]}" if bad else "",
-        )
-    )
+    cases.append(_none_bad("split-minimum identity N<=200", bad, "first mismatch at N={}"))
 
     removal_failures = 0
     for _ in range(1000):
@@ -304,8 +267,8 @@ def _suite_bounds_sandwich(max_disks: int | None, cache: ResultCache) -> list[Ca
         for n in range(1, h_grid[p] + 1):
             name = f"sandwich p={p} N={n}"
             try:
-                h_value = _H(p, n, cache)
-                gamma_value = _gamma(p, n, cache) if n <= gamma_grid[p] else None
+                h_value = cached("H", p, n, cache)
+                gamma_value = cached("gamma", p, n, cache) if n <= gamma_grid[p] else None
             except CapExceededError as exc:
                 cases.append(Case(name, "SKIP", str(exc)))
                 continue
@@ -320,7 +283,7 @@ def _suite_bounds_sandwich(max_disks: int | None, cache: ResultCache) -> list[Ca
                     checks.append(("main2<=dp", main2 <= dp))
                     checks.append(("dp<=gamma", dp <= gamma_value))
                 if n >= p - 1:
-                    upper = bounds.gamma_upper_general(p, n)
+                    upper = bounds.gamma_formula(p, n)[0]
                     checks.append(("gamma<=upper", gamma_value <= upper))
             failed = [label for label, ok in checks if not ok]
             cases.append(
@@ -329,13 +292,7 @@ def _suite_bounds_sandwich(max_disks: int | None, cache: ResultCache) -> list[Ca
 
     phi = frame_stewart.phi_closed
     bad = [n for n in range(1, 501) if 2 * (phi(4, n + 1) - 1) < phi(4, n + 2) - 1]
-    cases.append(
-        _case(
-            "halving inequality N<=500",
-            not bad,
-            f"first violation at N={bad[0]}" if bad else "",
-        )
-    )
+    cases.append(_none_bad("halving inequality N<=500", bad, "first violation at N={}"))
 
     bad_pairs = []
     for p in range(5, 9):
@@ -343,13 +300,7 @@ def _suite_bounds_sandwich(max_disks: int | None, cache: ResultCache) -> list[Ca
         for n in range(1, 1001):
             if not (bounds.main2_bound(p, n) <= dp_row[n]):
                 bad_pairs.append((p, n))
-    cases.append(
-        _case(
-            "dp dominates the closed lower bound p=5..8 N<=1000",
-            not bad_pairs,
-            f"first violation at {bad_pairs[0]}" if bad_pairs else "",
-        )
-    )
+    cases.append(_none_bad("dp dominates the closed lower bound p=5..8 N<=1000", bad_pairs, "first violation at {}"))
     return cases
 
 

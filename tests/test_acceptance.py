@@ -17,7 +17,7 @@ from hanoi_bounds.constructions import (
 )
 from hanoi_bounds.core import is_essential
 from hanoi_bounds.frame_stewart import phi4_closed
-from hanoi_bounds.state_space import distance, exact_gamma
+from hanoi_bounds.state_space import distance
 from hanoi_bounds.verify import SUITES, cached
 
 
@@ -84,7 +84,7 @@ def test_criterion_6_construction_exactness(cache):
         assert is_essential(path)
         assert path.length == gamma4_formula(n), f"main1({n})"
     for n in range(3, 8):
-        assert main1_essential_path(n).length == cached("gamma", exact_gamma, 4, n, cache)
+        assert main1_essential_path(n).length == cached("gamma", 4, n, cache)
     for n in range(2, 7):
         u, v, path = two1_tight_pair(n)
         assert distance(u, v) == path.length == 1 + (phi4_closed(n + 2) - 5) // 4

@@ -188,6 +188,16 @@ def test_dp_crossing_walk_matches_every_split():
     for p in range(5, 9):
         assert dp_lower_bounds(p, 400) == _dp_lower_bounds_every_split(p, 400)
     assert dp_lower_bounds(5, 1500) == _dp_lower_bounds_every_split(5, 1500)
+    # at 200 disks row 10 equals row 9, so p = 11..14 stop at that fixed
+    # point and p = 9, 10 end where it starts
+    for p in range(9, 15):
+        assert dp_lower_bounds(p, 200) == _dp_lower_bounds_every_split(p, 200)
+
+
+def test_dp_stops_at_its_fixed_point():
+    start = time.perf_counter()
+    assert dp_lower_bounds(10**9, 300) == dp_lower_bounds(40, 300)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_dp_nondecreasing_and_above_trivial():

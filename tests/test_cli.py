@@ -12,7 +12,7 @@ import hanoi_bounds
 from hanoi_bounds import cli
 from hanoi_bounds.cache import ENGINE_VERSION, ResultCache
 from hanoi_bounds.core import path_from_json_dict
-from hanoi_bounds.frame_stewart import MAX_CLOSED_PEGS, phi_spectrum
+from hanoi_bounds.frame_stewart import phi_spectrum
 
 
 @pytest.fixture()
@@ -107,19 +107,14 @@ def test_phi_closed_any_peg_count(capsys):
     assert out.strip() == "11"
 
 
-def test_phi_at_and_past_the_peg_limit(capsys):
+def test_phi_at_any_peg_count(capsys):
     start = time.perf_counter()
     code, out, _ = run(capsys, "phi", "--pegs", "20000", "--disks", "5")
     assert (code, out) == (0, "9\n")
     assert time.perf_counter() - start < 5
-    # closed refuses past MAX_CLOSED_PEGS; the other routes still answer
-    pegs = str(MAX_CLOSED_PEGS + 1)
-    code, out, err = run(capsys, "phi", "--pegs", pegs, "--disks", "5")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "MAX_CLOSED_PEGS" in err
-    for method in ("recursive", "spectrum"):
-        code, out, _ = run(capsys, "phi", "--pegs", pegs, "--disks", "5", "--method", method)
+    # past 2**15 pegs, where closed once refused, every route answers
+    for method in ("closed", "recursive", "spectrum"):
+        code, out, _ = run(capsys, "phi", "--pegs", "32769", "--disks", "5", "--method", method)
         assert (code, out) == (0, "9\n"), method
 
 
@@ -347,6 +342,7 @@ def test_commands_without_a_search_run_without_numpy(capsys, cache_dir, argv):
     [
         ("verify", "--suite", "szegedy", "--max-disks", "5"),
         ("gamma", "--pegs", "4", "--disks", "6", "--exact"),
+        ("verify", "--suite", "bousch-h4", "--max-disks", "5"),
     ],
 )
 def test_warm_cache_hits_run_without_numpy(capsys, cache_dir, argv):

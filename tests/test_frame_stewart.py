@@ -5,7 +5,6 @@ import pytest
 from hanoi_bounds import frame_stewart
 from hanoi_bounds.core import Configuration, is_essential
 from hanoi_bounds.frame_stewart import (
-    MAX_CLOSED_PEGS,
     MAX_PATH_MOVES,
     MAX_PHI_EXPONENT,
     MAX_RECURSIVE_DISKS,
@@ -46,21 +45,23 @@ def test_phi_recursive_rejects_bad_arguments():
         phi_closed(4, -1)
 
 
-def _phi_every_split(p, n_max):
+def _phi_rows_every_split(p_max, n_max):
     # the reference for phi_recursive: the same recurrence, trying every
-    # split k instead of walking the pointer, O(p * n_max**2)
+    # split k instead of walking the pointer; yields the rows Phi(q, 0..n_max)
+    # for q = 3..p_max, O(p_max * n_max**2)
     row = [(1 << n) - 1 for n in range(n_max + 1)]
-    for _ in range(4, p + 1):
+    yield row
+    for _ in range(4, p_max + 1):
         prev = row
         row = list(range(min(n_max, 1) + 1))
         for n in range(2, n_max + 1):
             row.append(min(2 * row[k] + prev[n - k] for k in range(1, n)))
-    return row
+        yield row
 
 
 def test_phi_recursive_matches_every_split():
-    for p in range(3, 9):
-        assert [phi_recursive(p, n) for n in range(61)] == _phi_every_split(p, 60)
+    for p, row in enumerate(_phi_rows_every_split(8, 60), start=3):
+        assert [phi_recursive(p, n) for n in range(61)] == row
 
 
 def test_phi_recursive_matches_closed():
@@ -96,23 +97,28 @@ def test_phi_recursive_refuses_past_the_disk_limit(monkeypatch):
         phi_recursive(100, 100)
 
 
+def test_phi_closed_matches_the_recurrence_at_every_peg_count():
+    # m = nabla(p, n) falls below, on and above p - 2 on this grid, so
+    # phi_closed takes both of its sums; the recurrence by every split is
+    # phi_recursive's own reference, and a phi_recursive call per point
+    # would take about 17 s on a 2-core x86
+    sides = set()
+    for p, row in enumerate(_phi_rows_every_split(60, 399), start=3):
+        assert [phi_closed(p, n) for n in range(400)] == row, p
+        assert phi_recursive(p, 399) == row[399]
+        sides |= {(nabla(p, n) > p - 2) - (nabla(p, n) < p - 2) for n in range(400)}
+    assert sides == {-1, 0, 1}
+
+
 def test_phi_closed_at_many_pegs():
-    # p - 2 Horner steps, each binomial from the one before it; computing
-    # every C(m + p - 3, k) from scratch took over 100 s at 20,000 pegs
+    # min(p - 2, m) Horner steps: at many pegs m is small, so there is no
+    # peg limit; p - 2 steps took 1.5 s at 2**16 pegs on a 2-core x86
     start = time.perf_counter()
     assert phi_closed(20000, 5) == phi_recursive(20000, 5) == 9
-    for n in (5, 10**6, 10**12):
-        assert phi_closed(MAX_CLOSED_PEGS, n) == phi_spectrum(MAX_CLOSED_PEGS, n)
+    for p in (2**15 + 1, 10**6, 10**9):
+        for n in (5, 10**10):
+            assert phi_closed(p, n) == phi_spectrum(p, n)
     assert time.perf_counter() - start < 5.0
-
-
-def test_phi_closed_refuses_past_the_peg_limit(monkeypatch):
-    def nabla(p, n):
-        raise AssertionError("phi_closed took a binomial past the peg limit")
-
-    monkeypatch.setattr(frame_stewart, "nabla", nabla)
-    with pytest.raises(ValueError, match="MAX_CLOSED_PEGS"):
-        phi_closed(MAX_CLOSED_PEGS + 1, 5)
 
 
 def test_phi_closed_refuses_past_the_exponent_limit():
