@@ -7,20 +7,18 @@ per state.  Results are deterministic functions of the inputs regardless
 of expansion order, because each sweep finishes a whole level before
 testing for termination.
 
-One rule, ``_pair_moves``, gives the legal moves to both searches.  Each
-unordered peg pair {x, y} has exactly one move: the smaller of its two
-top disks goes onto the other peg (none when both pegs are empty, a
-self-loop).  The move undoes itself, since from the neighbour the same
-pair moves the same disk back, so one pair never leads two states to the
-same neighbour.
-
-The rule is tabulated once per call, per pair, over each half of a rank
-(``_move_tables``): a rank splits into its low n // 2 disks and its high
-disks, and each half's table (p**(n // 2) and p**(n - n // 2) columns)
-holds the pair's rank step among that half's disks alone, 0 when neither
-peg holds one.  Every low disk is smaller than every high disk, so where
-the low entry is nonzero its disk is the pair's smaller top and its move
-is the move; the high entry decides only where the low one is 0.
+Both searches take their moves from one rule: each unordered peg pair
+{x, y} has exactly one move, the smaller of its two top disks onto the
+other peg, and none (a self-loop) when both pegs are empty.  Every table
+is one fold over the disks.  ``_disk_moves`` tabulates each pair's move
+of one disk over its p placements, and ``_join`` joins the tables of a
+block of smaller disks and a block of larger ones; the rule, and why a
+pair's move undoes itself, are argued once, in its docstring.
+``_move_tables`` folds ``_join`` over a block of disks.  A search reads a
+rank through the tables of its two halves, the n // 2 smallest disks and
+the rest (p**(n // 2) and p**(n - n // 2) columns), and ``exact_gamma``'s
+dense table is their ``_join``.  ``_mirror_tables`` folds a peg
+relabeling over the disks the same way, as an outer sum.
 
 ``distance`` expands a level one peg pair at a time, dropping the
 neighbours its seen table holds (self-loops among them) and marking the
@@ -32,8 +30,8 @@ involution sigma (exact_H's all-on-0 and all-on-(p-1) are), v's sweep
 is u's mirrored, so only u's runs, over one table.
 
 ``exact_gamma`` seeds its search with one configuration per
-peg-relabeling class (``_canonical_starts``), fills each peg pair's rank
-step and moved-disk bit over all states from the half tables, then
+peg-relabeling class (``_canonical_starts``), joins the half tables into
+each peg pair's rank step and moved-disk bit over all states, then
 expands a level pair by pair over a bool seen table.  A pair leads two
 product states to one successor only as twins (mask, c) and
 (mask | bit, c), and twins fall on either side of the split between
@@ -52,6 +50,7 @@ limits belong to the search alone, not to configurations or paths.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -155,86 +154,78 @@ def _check_memory(nbytes: int, what: str) -> None:
         )
 
 
-def _powers(p: int, n: int) -> np.ndarray:
-    return np.array([p**i for i in range(n)], dtype=np.int64)
-
-
-def _digit_matrix(ranks: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Peg of every disk for each rank; shape (len(ranks), n)."""
-    out = np.empty((ranks.size, n), dtype=np.uint8)
-    rest = ranks.copy()
-    for disk in range(n):
-        out[:, disk] = rest % p
-        rest //= p
-    return out
-
-
-def _top_disks(digits: np.ndarray, p: int, first: int, n: int) -> np.ndarray:
-    """Topmost (smallest) disk per peg, shape (p, len(digits)), for rows of
-    ``digits`` whose columns place disks first, first + 1, ...; the
-    sentinel n marks a peg that holds none of them."""
-    tops = np.full((p, digits.shape[0]), n, dtype=np.int8)
-    rows = np.arange(digits.shape[0])
-    for column in range(digits.shape[1] - 1, -1, -1):  # smaller disks overwrite larger ones
-        tops[digits[:, column], rows] = first + column
-    return tops
-
-
-def _halves(p: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """A rank is low + split * high, with low placing the n // 2 smallest
-    disks and high the rest.  Returns split and the digit matrices of every
-    low and of every high rank."""
-    low_disks = n // 2
-    low, high = (_digit_matrix(np.arange(p**d), p, d) for d in (low_disks, n - low_disks))
-    return p**low_disks, low, high
-
-
-def _pair_moves(tops: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The legal moves of the ranks whose tops are ``tops`` (see
-    ``_top_disks``), as int64 (bits, steps) with one row per unordered peg
-    pair {x, y} in turn: the moved disk d is the smaller of the two tops,
-    ``bits`` holds 1 << d and ``steps`` the rank change, (y - x) * p**d for
-    d going from x to y; both are 0 where both pegs are empty.
-
-    After the move, the moved disk tops its new peg and is smaller than the
-    top it left, so the same pair moves it back: each pair's move is an
-    involution on ranks, and no pair maps two ranks onto one neighbour.
-    """
-    xs, ys = np.triu_indices(p, 1)  # pairs in the order (0, 1), (0, 2), ..., (p-2, p-1)
-    scale = np.append(_powers(p, n), 0)  # scale[n] = 0: the sentinel moves nothing
-    moved = np.minimum(tops[xs], tops[ys])
-    steps = scale[moved]
-    steps *= (ys - xs)[:, None]
-    np.negative(steps, out=steps, where=tops[xs] > tops[ys])  # the disk goes from y to x
-    bits = np.left_shift(1, moved, dtype=np.int64)  # int64, where numpy 1.x would keep int8
-    bits &= (1 << n) - 1  # drops the sentinel's bit 1 << n
+def _disk_moves(p: int, disk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each peg pair's move of ``disk`` alone over its p placements, as
+    int64 (bits, steps) with one row per unordered pair {x, y}, in the
+    order (0, 1), (0, 2), ..., (p-2, p-1).  The step is (y - x) * p**disk
+    on peg x, the opposite on peg y and 0 elsewhere; the bit is 1 << disk
+    where the step is nonzero, and 0 elsewhere."""
+    pegs = np.arange(p)
+    xs, ys = np.nonzero(pegs[:, None] < pegs)  # np.triu_indices(p, 1), in a fifth of the time
+    sign = (pegs == xs[:, None]).astype(np.int64) - (pegs == ys[:, None])  # 1 on x, -1 on y
+    steps = sign * ((ys - xs) * p**disk)[:, None]
+    bits = np.left_shift(steps != 0, disk, dtype=np.int64)  # int64 under any numpy promotion
     return bits, steps
 
 
-def _move_tables(p: int, n: int) -> tuple[int, tuple, tuple]:
-    """(split, low, high): each peg pair's move among the low disks and
-    among the high disks of a rank alone (see ``_halves``), as (bits,
-    steps) from ``_pair_moves`` over every low rank and every high rank.
-    Disks keep their numbers in the whole rank, so high steps come scaled
-    by split.  A half's step is 0 where neither of the pair's pegs holds
-    one of its disks, and the low step wins wherever it is nonzero: every
-    low disk is smaller than every high disk."""
-    split, low_digits, high_digits = _halves(p, n)
-    low_tops = _top_disks(low_digits, p, 0, n)
-    high_tops = _top_disks(high_digits, p, low_digits.shape[1], n)
-    return split, _pair_moves(low_tops, p, n), _pair_moves(high_tops, p, n)
+def _join(low: tuple, high: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The (bits, steps) move table of two blocks of disks together, from
+    the tables of each, where every disk of ``low`` is smaller than every
+    disk of ``high`` and disks keep their numbers in the whole rank.
+    Column hi * cols(low) + lo, placing low's disks as low's column lo and
+    high's as high's column hi, takes low's entry where its step is
+    nonzero and high's entry elsewhere.
+
+    A pair moves the smaller of its two top disks.  Where low's step is
+    nonzero, a peg of the pair holds a low disk, so the pair's smaller top
+    is low's and any high disk on the pair is larger: low's move is the
+    pair's move.  Where it is 0, neither peg holds a low disk, and high's
+    tops decide, none (step 0, a self-loop) when both pegs are empty.
+
+    After a pair's move, the moved disk tops its new peg and is smaller
+    than the top it left, so the same pair moves it back: each pair's move
+    is an involution on ranks, and no pair maps two ranks onto one
+    neighbour.
+    """
+    (low_bits, low_steps), (high_bits, high_steps) = low, high
+    own = (low_steps != 0)[:, None, :]  # the low block moves a disk
+    return tuple(
+        np.where(own, lo[:, None, :], hi[:, :, None]).reshape(len(lo), -1)
+        for lo, hi in ((low_bits, high_bits), (low_steps, high_steps))
+    )
+
+
+def _move_tables(p: int, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each peg pair's move among disks first, ..., last - 1 alone, over
+    every placement of them: ``_join`` folded over the disks from the
+    smallest up, starting from one column that moves nothing (no disks)."""
+    zero = np.zeros((p * (p - 1) // 2, 1), dtype=np.int64)
+    disks = (_disk_moves(p, disk) for disk in range(first, last))
+    return functools.reduce(_join, disks, (zero, zero))
+
+
+def _mirror_tables(sigma: list[int], p: int, first: int, last: int) -> np.ndarray:
+    """The rank of sigma applied to disks first, ..., last - 1 alone, over
+    every placement of them.  A relabeling moves each disk on its own, so
+    the table is the outer sum sigma(peg) * p**disk folded over the disks
+    from the smallest up, in ``_join``'s column order."""
+    table = np.zeros(1, dtype=np.int64)
+    for disk in range(first, last):
+        table = np.add.outer(np.array(sigma, dtype=np.int64) * p**disk, table).ravel()
+    return table
 
 
 def _expand(
-    frontier: np.ndarray, seen: np.ndarray, split: int, low: np.ndarray, high: np.ndarray
+    frontier: np.ndarray, halves: tuple, seen: np.ndarray, low: np.ndarray, high: np.ndarray
 ) -> np.ndarray:
     """The states one move from ``frontier`` that ``seen`` has not seen,
-    each once, marked in ``seen``.  Per pair, a rank's step is the low step
-    table's entry, or the high one's where that is 0 (``_move_tables``).
-    No pair emits a state twice (``_pair_moves``), and marking a pair's
-    states before the next pair keeps them out of later pairs; self-loops
-    land on the frontier, which is seen."""
-    high_ranks, low_ranks = np.divmod(frontier, split)
+    each once, marked in ``seen``.  ``halves`` is the frontier's (high,
+    low) split, ``np.divmod`` by p**(n // 2).  Per pair, a rank's step is
+    the low step table's entry, or the high one's where that is 0
+    (``_join``).  No pair emits a state twice, and marking a pair's states
+    before the next pair keeps them out of later pairs; self-loops land on
+    the frontier, which is seen."""
+    high_ranks, low_ranks = halves
     parts = []
     for low_row, high_row in zip(low, high):
         nbrs = low_row.take(low_ranks)
@@ -244,7 +235,7 @@ def _expand(
         nbrs = nbrs[~seen[nbrs]]
         seen[nbrs] = True
         parts.append(nbrs)
-    del high_ranks, low_ranks  # before the concatenation copies the new level
+    del halves, high_ranks, low_ranks  # before the concatenation copies the new level
     return np.concatenate(parts)
 
 
@@ -259,16 +250,6 @@ def _involution(u: tuple[int, ...], v: tuple[int, ...], p: int) -> list[int] | N
     return [x if image is None else image for x, image in enumerate(sigma)]
 
 
-def _mirror_tables(sigma: list[int], p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank of sigma applied to every disk, as (low, high) with sigma(rank)
-    = low[rank % split] + high[rank // split] (split from ``_halves``)."""
-    split, low_digits, high_digits = _halves(p, n)
-    perm = np.array(sigma, dtype=np.int64)
-    low = perm[low_digits] @ _powers(p, low_digits.shape[1])
-    high = perm[high_digits] @ _powers(p, high_digits.shape[1])
-    return low, high * split
-
-
 def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
     """Exact shortest-move distance between two configurations.
 
@@ -277,14 +258,16 @@ def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
     the first level whose fresh states the other sweep has seen.  No level
     met before, so the balls of radius depth_u - 1 around u and depth_v
     around v are disjoint, and the meeting state joins a path that long.
-    Each level is one ``_expand`` over the pair step tables of
-    ``_move_tables``, built once per call.
+    Each level is one ``_expand`` over the step tables of the two halves
+    of a rank (``_move_tables``), built once per call.
 
     When v is u with its pegs relabeled by an involution sigma, d(v, s) =
     d(u, sigma(s)): only u's sweep runs, and v's is it read through sigma,
     strictly alternating.  Once u's reaches level k, v's level k - 1 meets
     it if any of its states is seen (2k - 1 moves); else v's reaches level
-    k, sigma of u's, and meets it if any of those is seen (2k).
+    k, sigma of u's, and meets it if any of those is seen (2k).  Each of
+    u's levels is split into its halves once, for its images through the
+    halves' sigma tables (``_mirror_tables``) and for its expansion.
     """
     if (u.p, u.n) != (v.p, v.n):
         raise ValueError("configurations must share peg and disk counts")
@@ -299,31 +282,35 @@ def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
     sigma = _involution(u.pegs, v.pegs, p)
     mirrored = sigma is not None
     ends = [u] if mirrored else [u, v]
-    half_rows = p ** (n // 2) + p ** (n - n // 2)
+    half = n // 2
+    split = p**half
     # bool seen tables; int64 bits and steps per pair and half row, int64 mirror ranks
-    half_bytes = 8 * (p * (p - 1) + mirrored) * half_rows
+    half_bytes = 8 * (p * (p - 1) + mirrored) * (split + p ** (n - half))
     _check_memory(len(ends) * size + half_bytes, "distance search")
-    split, low, high = _move_tables(p, n)
-    low, high = low[1], high[1]  # the steps; distance reads no bits
+    (_, low), (_, high) = _move_tables(p, 0, half), _move_tables(p, half, n)  # no bits read
     seens = [np.zeros(size, dtype=bool) for _ in ends]
     frontiers = [np.array([end.rank()], dtype=np.int64) for end in ends]
     for seen, frontier in zip(seens, frontiers):
         seen[frontier] = True
     if mirrored:
-        mirror_low, mirror_high = _mirror_tables(sigma, p, n)
+        mirror_low = _mirror_tables(sigma, p, 0, half)
+        mirror_high = _mirror_tables(sigma, p, half, n)
         images = np.array([v.rank()], dtype=np.int64)  # sigma of u's previous level
+        halves = np.divmod(frontiers[0], split)
         for depth in range(1, size):
-            frontiers[0] = _expand(frontiers[0], seens[0], split, low, high)
+            frontiers[0] = _expand(frontiers[0], halves, seens[0], low, high)
             if seens[0][images].any():
                 return 2 * depth - 1
-            high_ranks, low_ranks = np.divmod(frontiers[0], split)
-            images = mirror_low[low_ranks] + mirror_high[high_ranks]
+            halves = np.divmod(frontiers[0], split)  # for the images and the next level
+            images = mirror_low[halves[1]] + mirror_high[halves[0]]
             if seens[0][images].any():
                 return 2 * depth
     else:
         for depth in range(1, size):  # depth_u + depth_v: each step grows one
             side = 0 if frontiers[0].size <= frontiers[1].size else 1
-            frontiers[side] = _expand(frontiers[side], seens[side], split, low, high)
+            frontiers[side] = _expand(
+                frontiers[side], np.divmod(frontiers[side], split), seens[side], low, high
+            )
             if seens[1 - side][frontiers[side]].any():
                 return depth
     raise RuntimeError("the sweeps never met; the graph should be connected")
@@ -336,25 +323,6 @@ def exact_H(p: int, n: int, cap: int | None = None) -> int:
         return 0
     return distance(
         Configuration.all_on(p, n, 0), Configuration.all_on(p, n, p - 1), cap=cap
-    )
-
-
-def _adjacency(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The configuration graph as two ``(p(p-1)/2, p**n)`` int64 tables,
-    one row per unordered peg pair (see ``_pair_moves``).
-
-    Column c holds, in row k, the rank step of pair k's move from c and
-    the bit of the disk it moves.  A pair whose pegs are both empty holds
-    a self-loop that moves nothing (step 0, bit 0).  Each row is filled
-    from the half tables of ``_move_tables``: read as a grid of high by low
-    rank, it takes the low half's step and bit where that half has a move
-    and the high half's elsewhere.
-    """
-    _, (low_bits, low_steps), (high_bits, high_steps) = _move_tables(p, n)
-    own = (low_steps != 0)[:, None, :]  # the low half moves a disk
-    return tuple(
-        np.where(own, low[:, None, :], high[:, :, None]).reshape(len(low), p**n)
-        for low, high in ((low_steps, high_steps), (low_bits, high_bits))
     )
 
 
@@ -420,8 +388,9 @@ def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
     no later level either: every move sets a bit, so mask 0 occurs only at
     depth 0, and the whole mask-0 band is marked seen at once.
 
-    Successors come from one step and one bit table per call (see
-    ``_adjacency``), and a bool table marks the product states seen.
+    Successors come from one step and one bit table per call, each peg
+    pair's over every state (``_join`` of the half tables), and a bool
+    table marks the product states seen.
     ``_expand_product`` expands a level one peg pair at a time and emits
     each unseen successor once, so no level is sorted or deduplicated.
     """
@@ -435,11 +404,11 @@ def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
         raise CapExceededError(
             f"essential-path search over {product} product states exceeds the cap {cap_value}"
         )
-    half_rows = p ** (n // 2) + p ** (n - n // 2)
+    half = n // 2
     # two int64 tables, one row per peg pair, over every state and over each half row
-    adjacency_bytes = 2 * (size + half_rows) * (p * (p - 1) // 2) * 8
+    adjacency_bytes = 2 * (size + p**half + p ** (n - half)) * (p * (p - 1) // 2) * 8
     _check_memory(product + adjacency_bytes, "essential-path search")
-    steps, bits = _adjacency(p, n)
+    bits, steps = _join(_move_tables(p, 0, half), _move_tables(p, half, n))
     seen = np.zeros(product, dtype=bool)
     seen[:size] = True
     frontier = _canonical_starts(p, n)

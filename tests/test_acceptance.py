@@ -8,7 +8,7 @@ shares search results between criteria, so each (p, N) search runs once.
 
 import pytest
 
-from hanoi_bounds.bounds import gamma4_formula
+from hanoi_bounds.bounds import gamma_formula
 from hanoi_bounds.cache import ResultCache
 from hanoi_bounds.constructions import (
     main1_essential_path,
@@ -16,7 +16,7 @@ from hanoi_bounds.constructions import (
     two1_tight_pair,
 )
 from hanoi_bounds.core import is_essential
-from hanoi_bounds.frame_stewart import phi4_closed
+from hanoi_bounds.frame_stewart import phi_closed
 from hanoi_bounds.state_space import distance
 from hanoi_bounds.verify import SUITES, cached
 
@@ -82,14 +82,14 @@ def test_criterion_6_construction_exactness(cache):
         path = main1_essential_path(n)
         path.replay()
         assert is_essential(path)
-        assert path.length == gamma4_formula(n), f"main1({n})"
+        assert path.length == gamma_formula(4, n)[0], f"main1({n})"
     for n in range(3, 8):
         assert main1_essential_path(n).length == cached("gamma", 4, n, cache)
     for n in range(2, 7):
         u, v, path = two1_tight_pair(n)
-        assert distance(u, v) == path.length == 1 + (phi4_closed(n + 2) - 5) // 4
+        assert distance(u, v) == path.length == 1 + (phi_closed(4, n + 2) - 5) // 4
     for n in range(1, 16):
-        assert midpoint_path(n, 0, (2, 3), 1).length == (phi4_closed(n + 1) - 1) // 2
+        assert midpoint_path(n, 0, (2, 3), 1).length == (phi_closed(4, n + 1) - 1) // 2
     report(6, "constructed paths replay legally at their exact optimal lengths")
 
 

@@ -2,14 +2,14 @@ import time
 
 import pytest
 
-from hanoi_bounds.bounds import gamma4_formula
+from hanoi_bounds.bounds import gamma_formula
 from hanoi_bounds.constructions import (
     main1_essential_path,
     midpoint_path,
     two1_tight_pair,
 )
 from hanoi_bounds.core import is_essential
-from hanoi_bounds.frame_stewart import MAX_PATH_MOVES, phi4_closed
+from hanoi_bounds.frame_stewart import MAX_PATH_MOVES, phi_closed
 from hanoi_bounds.state_space import distance, exact_gamma
 
 
@@ -20,16 +20,16 @@ def test_midpoint_single_disk():
 
 @pytest.mark.parametrize("n, expected", [(4, 6), (6, 12)])
 def test_midpoint_lengths(n, expected):
-    # expected = (phi4_closed(n + 1) - 1) / 2, with phi4_closed cross-checked
+    # expected = (phi_closed(4, n + 1) - 1) / 2, with phi_closed cross-checked
     # against the recursion in test_frame_stewart
     path = midpoint_path(n, 0, (3, 2), 1)
-    assert path.length == expected == (phi4_closed(n + 1) - 1) // 2
+    assert path.length == expected == (phi_closed(4, n + 1) - 1) // 2
 
 
 def test_midpoint_final_occupies_only_targets():
     for n in range(1, 16):
         path = midpoint_path(n, 0, (2, 3), 1)
-        assert path.length == (phi4_closed(n + 1) - 1) // 2
+        assert path.length == (phi_closed(4, n + 1) - 1) // 2
         final = path.replay()
         assert final.disks_on(0) == ()
         assert final.disks_on(1) == ()
@@ -57,7 +57,7 @@ def test_midpoint_peg_arguments():
 @pytest.mark.parametrize("n, expected", [(2, 2), (4, 4)])
 def test_two1_lengths(n, expected):
     _, _, path = two1_tight_pair(n)
-    assert path.length == expected == 1 + (phi4_closed(n + 2) - 5) // 4
+    assert path.length == expected == 1 + (phi_closed(4, n + 2) - 5) // 4
 
 
 def test_two1_endpoints_confined_to_half_planes():
@@ -72,7 +72,7 @@ def test_two1_endpoints_confined_to_half_planes():
 def test_two1_distance_is_tight():
     for n in range(2, 7):
         u, v, path = two1_tight_pair(n)
-        assert distance(u, v) == path.length == 1 + (phi4_closed(n + 2) - 5) // 4
+        assert distance(u, v) == path.length == 1 + (phi_closed(4, n + 2) - 5) // 4
 
 
 def test_main1_three_disks():
@@ -84,20 +84,20 @@ def test_main1_three_disks():
 def test_main1_matches_formula_up_to_twenty():
     for n in range(3, 21):
         path = main1_essential_path(n)
-        assert path.length == gamma4_formula(n)
+        assert path.length == gamma_formula(4, n)[0]
         assert is_essential(path)
         path.replay()
 
 
 def test_main1_twenty_disk_length():
-    # phi4_closed(20) = 289, so the length is 3 + (289 - 5) / 4
+    # phi_closed(4, 20) = 289, so the length is 3 + (289 - 5) / 4
     assert main1_essential_path(20).length == 74
 
 
 def test_main1_past_the_search_limit():
     path = main1_essential_path(60)
     path.replay()
-    assert path.length == gamma4_formula(60)
+    assert path.length == gamma_formula(4, 60)[0]
     assert is_essential(path)
 
 
@@ -116,9 +116,13 @@ def test_main1_rejects_tiny_inputs():
 @pytest.mark.parametrize(
     "build, length",
     [
-        (main1_essential_path, gamma4_formula),
-        (two1_tight_pair, lambda n: 1 + (phi4_closed(n + 2) - 5) // 4),
-        (lambda n: midpoint_path(n, 0, (2, 3), 1), lambda n: (phi4_closed(n + 1) - 1) // 2),
+        pytest.param(
+            main1_essential_path,
+            lambda n: gamma_formula(4, n)[0],
+            id="main1_essential_path-gamma_formula",
+        ),
+        (two1_tight_pair, lambda n: 1 + (phi_closed(4, n + 2) - 5) // 4),
+        (lambda n: midpoint_path(n, 0, (2, 3), 1), lambda n: (phi_closed(4, n + 1) - 1) // 2),
     ],
 )
 def test_constructions_refuse_paths_past_the_move_limit(build, length):

@@ -11,7 +11,6 @@ from hanoi_bounds.frame_stewart import (
     _SPECTRUM_LEAF,
     best_split,
     frame_stewart_path,
-    phi4_closed,
     phi_closed,
     phi_recursive,
     phi_spectrum,
@@ -138,7 +137,7 @@ def test_phi_spectrum_values(p, n, expected):
 @pytest.mark.parametrize("n, expected", [(1, 1), (3, 5), (5, 13), (10, 49)])
 def test_phi4_closed_values(n, expected):
     # oracle: phi_recursive, asserted equal below on the whole grid
-    assert phi4_closed(n) == expected
+    assert phi_closed(4, n) == expected
 
 
 def test_three_routes_agree_on_a_grid():
@@ -152,7 +151,7 @@ def test_three_routes_agree_on_a_grid():
         # the spectrum sum takes a few milliseconds here
         assert phi_closed(p, 10**12 + 12345) == phi_spectrum(p, 10**12 + 12345)
     for n in range(1, 500):
-        assert phi_spectrum(4, n) == phi4_closed(n)
+        assert phi_spectrum(4, n) == phi_closed(4, n)
     for n in (10**9, 10**10):
         for offset in (0, 1, 99, 12345):
             assert phi_closed(4, n + offset) == phi_spectrum(4, n + offset)
@@ -256,7 +255,7 @@ def test_frame_stewart_path_realizable_up_to_fifteen_disks(q):
 def test_frame_stewart_path_past_the_search_limit():
     # configurations carry no search limit, so long paths replay
     path = frame_stewart_path(40, range(4), 0, 3)
-    assert path.length == phi4_closed(40)
+    assert path.length == phi_closed(4, 40)
     assert path.replay() == Configuration.all_on(4, 40, 3)
 
 
@@ -264,7 +263,7 @@ def test_frame_stewart_path_refuses_paths_past_the_move_limit():
     # Phi(3, 23) = 2**23 - 1 and Phi(4, 169) are the first lengths past
     # MAX_PATH_MOVES = 2**22; refused before any move is emitted
     assert phi_closed(3, 22) <= MAX_PATH_MOVES < phi_closed(3, 23)
-    assert phi4_closed(168) <= MAX_PATH_MOVES < phi4_closed(169)
+    assert phi_closed(4, 168) <= MAX_PATH_MOVES < phi_closed(4, 169)
     start = time.perf_counter()
     for n, pegs in ((23, range(3)), (169, range(4)), (10**5, range(4))):
         with pytest.raises(ValueError, match="MAX_PATH_MOVES"):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from hanoi_bounds.frame_stewart import phi4_closed, phi_spectrum
+from hanoi_bounds.frame_stewart import phi_closed, phi_spectrum
 from hanoi_bounds.numerics import nabla
 from hanoi_bounds.potential import (
     NotApplicableError,
@@ -55,7 +55,7 @@ def test_psi_L_at_level_zero_is_cardinality():
         ((), 0),
         ((0,), 1),
         ((0, 1, 2), 4),
-        ((0, 1, 2, 3), 6),  # equals (phi4_closed(5) - 1) / 2
+        ((0, 1, 2, 3), 6),  # equals (phi_closed(4, 5) - 1) / 2
     ],
 )
 def test_psi_values(elements, expected):
@@ -99,19 +99,19 @@ def test_psi_monotone_under_inclusion(a, b):
 
 
 def test_gathered_set_identity():
-    # psi({0..N-1}) = (phi4_closed(N+1) - 1) / 2
+    # psi({0..N-1}) = (phi_closed(4, N+1) - 1) / 2
     for n in range(2, 201):
-        assert 2 * psi(range(n)) == phi4_closed(n + 1) - 1
+        assert 2 * psi(range(n)) == phi_closed(4, n + 1) - 1
 
 
 def test_split_minimum_identity():
-    # (phi4_closed(N+1) - 1) / 2 = min over a + b = N, a, b >= 1
+    # (phi_closed(4, N+1) - 1) / 2 = min over a + b = N, a, b >= 1
     # of phi(4, a) + phi(3, b)
     for n in range(2, 201):
         best = min(
             phi_spectrum(4, a) + ((1 << (n - a)) - 1) for a in range(1, n)
         )
-        assert 2 * best == phi4_closed(n + 1) - 1
+        assert 2 * best == phi_closed(4, n + 1) - 1
 
 
 @pytest.mark.parametrize(
@@ -141,7 +141,7 @@ def test_check_removal_bound_random_applicable_instances():
 
 
 def test_check_union_bound_examples():
-    assert check_union_bound((), ()) is True  # 0 >= (phi4_closed(3) - 5) / 4 = 0
+    assert check_union_bound((), ()) is True  # 0 >= (phi_closed(4, 3) - 5) / 4 = 0
     assert check_union_bound((0, 1, 2), ()) is True  # 4 >= (17 - 5) / 4 = 3
 
 
@@ -155,4 +155,4 @@ def test_check_union_bound_random_instances():
 
 def test_union_numerator_always_divisible_by_four():
     for n in range(0, 400):
-        assert (phi4_closed(n + 3) - 5) % 4 == 0
+        assert (phi_closed(4, n + 3) - 5) % 4 == 0

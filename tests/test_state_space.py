@@ -12,7 +12,7 @@ from hanoi_bounds.core import (
     is_essential,
     legal_moves,
 )
-from hanoi_bounds.frame_stewart import frame_stewart_path, phi4_closed, phi_closed
+from hanoi_bounds.frame_stewart import frame_stewart_path, phi_closed
 from hanoi_bounds.potential import psi
 from hanoi_bounds.state_space import (
     CapExceededError,
@@ -220,8 +220,9 @@ def half_table_moves(ranks, p, n):
 
     from hanoi_bounds.state_space import _move_tables
 
-    split, (low_bits, low_steps), (high_bits, high_steps) = _move_tables(p, n)
-    high, low = np.divmod(ranks, split)
+    low_bits, low_steps = _move_tables(p, 0, n // 2)
+    high_bits, high_steps = _move_tables(p, n // 2, n)
+    high, low = np.divmod(ranks, p ** (n // 2))
     own = low_steps[:, low] != 0
     return (
         np.where(own, low_bits[:, low], high_bits[:, high]),
@@ -231,27 +232,57 @@ def half_table_moves(ranks, p, n):
 
 def test_move_tables_match_legal_moves():
     # n = 0 and 1 leave the low half empty, odd n give the high half the
-    # extra disk, and p = 8 at n = 12 puts 28 pairs over 8**6 high ranks
+    # extra disk, and p = 8 at n = 12 puts 28 pairs over 8**6 high ranks;
+    # every sampled rank's moves must be the pure-Python rule's
     import numpy as np
-
-    from hanoi_bounds.state_space import _digit_matrix, _pair_moves, _top_disks
 
     rng = random.Random(61)
     for p in range(3, 9):
         for n in range(13):
             ranks = np.array([rng.randrange(p**n) for _ in range(50)], dtype=np.int64)
             bits, steps = half_table_moves(ranks, p, n)
-            # the same rule over each rank's own digits, without halves
-            direct = _pair_moves(_top_disks(_digit_matrix(ranks, p, n), p, 0, n), p, n)
-            assert np.array_equal(bits, direct[0]), (p, n)
-            assert np.array_equal(steps, direct[1]), (p, n)
-            c = Configuration.from_rank(p, n, int(ranks[0]))
-            emitted = sorted(
-                (c.rank() + int(step), int(bit)) for bit, step in zip(bits[:, 0], steps[:, 0]) if step
-            )
-            assert emitted == sorted(
-                (apply_move(c, m).rank(), 1 << m.disk) for m in legal_moves(c)
-            ), (p, n)
+            assert bits.shape == steps.shape == (p * (p - 1) // 2, ranks.size)
+            assert bits.dtype == steps.dtype == np.int64
+            for column, rank in enumerate(ranks.tolist()):
+                c = Configuration.from_rank(p, n, rank)
+                emitted = sorted(
+                    (rank + int(step), int(bit))
+                    for bit, step in zip(bits[:, column], steps[:, column])
+                    if step
+                )
+                assert emitted == sorted(
+                    (apply_move(c, m).rank(), 1 << m.disk) for m in legal_moves(c)
+                ), (p, n, rank)
+            # a pair moves nothing exactly when its step and its bit are 0
+            assert np.array_equal(bits == 0, steps == 0), (p, n)
+
+
+def test_tables_over_a_block_join_its_sub_blocks():
+    # the fold is associative: any split of a block into smaller and larger
+    # disks joins back into the block's table, for moves and relabelings
+    import numpy as np
+
+    from hanoi_bounds.state_space import _join, _mirror_tables, _move_tables
+
+    rng = random.Random(71)
+    for p in range(3, 7):
+        for n in range(6):
+            moves = _move_tables(p, 0, n)
+            sigma = list(range(p))
+            pegs = rng.sample(range(p), 2)
+            sigma[pegs[0]], sigma[pegs[1]] = pegs[1], pegs[0]
+            mirror = _mirror_tables(sigma, p, 0, n)
+            assert mirror.shape == (p**n,)
+            assert mirror.tolist() == [
+                Configuration(p, tuple(sigma[x] for x in c.pegs)).rank()
+                for c in (Configuration.from_rank(p, n, r) for r in range(p**n))
+            ]
+            for k in range(n + 1):
+                joined = _join(_move_tables(p, 0, k), _move_tables(p, k, n))
+                for table, part in zip(moves, joined):
+                    assert part.dtype == table.dtype and np.array_equal(part, table), (p, n, k)
+                low, high = _mirror_tables(sigma, p, 0, k), _mirror_tables(sigma, p, k, n)
+                assert np.array_equal(np.add.outer(high, low).ravel(), mirror), (p, n, k)
 
 
 def test_vectorized_neighbors_match_legal_moves():
@@ -290,13 +321,14 @@ def test_pair_moves_undo_themselves():
 
 
 def test_adjacency_rows_match_legal_moves():
+    # exact_gamma's dense table: the join of the two half tables
     import numpy as np
 
-    from hanoi_bounds.state_space import _adjacency
+    from hanoi_bounds.state_space import _join, _move_tables
 
     rng = random.Random(53)
     for p, n in ((3, 1), (3, 5), (4, 4), (5, 3), (6, 3), (8, 2)):
-        steps, bits = _adjacency(p, n)
+        bits, steps = _join(_move_tables(p, 0, n // 2), _move_tables(p, n // 2, n))
         assert steps.shape == bits.shape == (p * (p - 1) // 2, p**n)
         for _ in range(15):
             c = random_config(rng, p, n)
@@ -317,7 +349,7 @@ def test_one_level_emits_every_unseen_neighbour_once():
     # both searches' level steps must emit each unseen successor exactly once
     import numpy as np
 
-    from hanoi_bounds.state_space import _adjacency, _expand, _expand_product, _move_tables
+    from hanoi_bounds.state_space import _expand, _expand_product, _join, _move_tables
 
     rng = random.Random(67)
     for _ in range(60):
@@ -329,8 +361,9 @@ def test_one_level_emits_every_unseen_neighbour_once():
         seen = set(frontier) | set(rng.sample(range(size), rng.randint(0, size)))
         table = np.zeros(size, dtype=bool)
         table[sorted(seen)] = True
-        split, (_, low), (_, high) = _move_tables(p, n)
-        fresh = _expand(np.array(frontier, dtype=np.int64), table, split, low, high)
+        (_, low), (_, high) = _move_tables(p, 0, n // 2), _move_tables(p, n // 2, n)
+        ranks = np.array(frontier, dtype=np.int64)
+        fresh = _expand(ranks, np.divmod(ranks, p ** (n // 2)), table, low, high)
         expected = set()
         for r in frontier:
             c = Configuration.from_rank(p, n, r)
@@ -346,7 +379,7 @@ def test_one_level_emits_every_unseen_neighbour_once():
         seen = set(frontier) | set(rng.sample(range(product), rng.randint(0, product)))
         table = np.zeros(product, dtype=bool)
         table[sorted(seen)] = True
-        steps, bits = _adjacency(p, n)
+        bits, steps = _join(_move_tables(p, 0, n // 2), _move_tables(p, n // 2, n))
         fresh = _expand_product(np.array(frontier, dtype=np.int64), table, steps, bits, size)
         expected = set()
         for state in frontier:
@@ -527,7 +560,9 @@ def test_memory_check_counts_the_tables_searched_and_the_cgroup_limit(monkeypatc
 
 def test_memory_check_counts_every_table_a_search_builds(monkeypatch):
     # the bytes _check_memory weighs must be the tables the search then
-    # builds: half move tables, mirror tables, dense adjacency, seen tables
+    # builds: half move tables, mirror tables, the dense join, seen tables;
+    # a builder's own folds are its temporaries, so only the tables an
+    # outermost builder call returns count
     import numpy as np
 
     counted, built = [], []
@@ -540,10 +575,17 @@ def test_memory_check_counts_every_table_a_search_builds(monkeypatch):
             for item in value:
                 collect(item)
 
+    depth = [0]
+
     def recording(builder):
         def wrapped(*args):
-            tables = builder(*args)
-            collect(tables)
+            depth[0] += 1
+            try:
+                tables = builder(*args)
+            finally:
+                depth[0] -= 1
+            if not depth[0]:
+                collect(tables)
             return tables
 
         return wrapped
@@ -558,7 +600,7 @@ def test_memory_check_counts_every_table_a_search_builds(monkeypatch):
                 built.append(table)
             return table
 
-    for name in ("_move_tables", "_mirror_tables", "_adjacency"):
+    for name in ("_move_tables", "_mirror_tables", "_join"):
         monkeypatch.setattr(state_space, name, recording(getattr(state_space, name)))
     monkeypatch.setattr(state_space, "np", SeenTables())
     # (search, tables built): four half tables (bits and steps per half) each,
@@ -612,10 +654,10 @@ def test_recursive_halving_inequality_on_search_values():
 
 def test_half_plane_distance_lower_bound_sampled():
     # configurations confined to pegs {0,1} vs pegs {2,3} sit at distance
-    # at least 1 + (phi4_closed(N+2) - 5) / 4
+    # at least 1 + (phi_closed(4, N+2) - 5) / 4
     rng = random.Random(37)
     for n in range(1, 7):
-        floor = 1 + (phi4_closed(n + 2) - 5) // 4
+        floor = 1 + (phi_closed(4, n + 2) - 5) // 4
         for _ in range(25):
             u = random_config(rng, 4, n, pegs=(0, 1))
             v = random_config(rng, 4, n, pegs=(2, 3))
