@@ -112,30 +112,47 @@ def test_gamma_upper_general_values(p, n, expected):
     assert gamma_formula(p, n)[0] == expected
 
 
-def test_traced_aliases_equal_their_formulas():
-    # the package reads only gamma_formula and phi_closed; these five names
-    # stay defined because the benchmark's tracer (perfbench/tracing.py)
-    # wraps them by name, so each must still be its formula
-    from hanoi_bounds.bounds import (
-        gamma3_formula,
-        gamma4_formula,
-        gamma_conjecture,
-        gamma_upper_general,
-    )
-    from hanoi_bounds.frame_stewart import phi4_closed
+# the package reads only gamma_formula and phi_closed; the alias tests below
+# keep five names defined because the benchmark's tracer
+# (perfbench/tracing.py) wraps them by name, so each must still be its formula
+
+
+def test_gamma_conjecture_specializes_to_proven_formulas():
+    from hanoi_bounds.bounds import gamma3_formula, gamma4_formula, gamma_conjecture
 
     for n in range(300):
-        assert gamma3_formula(n) == gamma_formula(3, n)[0]
-        assert gamma4_formula(n) == gamma_formula(4, n)[0]
-        if n:
-            assert phi4_closed(n) == phi_closed(4, n)
-        for p in range(3, 9):
+        assert gamma_conjecture(3, n) == gamma3_formula(n) == gamma_formula(3, n)[0]
+        assert gamma_conjecture(4, n) == gamma4_formula(n) == gamma_formula(4, n)[0]
+        for p in range(5, 9):
             assert gamma_conjecture(p, n) == gamma_formula(p, n)[0]
-            if n >= p - 1:
-                assert gamma_upper_general(p, n) == gamma_formula(p, n)[0]
-    # the upper bound is stated from p - 1 disks on, and Phi(4, .) from 1
+
+
+def test_gamma_upper_general_rejects_small_n():
+    # the upper bound is stated from p - 1 disks on
+    from hanoi_bounds.bounds import gamma_upper_general
+
     with pytest.raises(ValueError):
         gamma_upper_general(5, 3)
+
+
+def test_upper_matches_formulas_where_proven():
+    from hanoi_bounds.bounds import gamma3_formula, gamma4_formula, gamma_upper_general
+
+    for n in range(2, 200):
+        assert gamma_upper_general(3, n) == gamma3_formula(n)
+    for n in range(3, 200):
+        assert gamma_upper_general(4, n) == gamma4_formula(n)
+    for p in range(3, 9):
+        for n in range(p - 1, 300):
+            assert gamma_upper_general(p, n) == gamma_formula(p, n)[0]
+
+
+def test_traced_aliases_equal_their_formulas():
+    # Phi(4, .) is stated from 1 disk on
+    from hanoi_bounds.frame_stewart import phi4_closed
+
+    for n in range(1, 300):
+        assert phi4_closed(n) == phi_closed(4, n)
     with pytest.raises(ValueError):
         phi4_closed(0)
 
