@@ -9,6 +9,8 @@ brute-force search.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import index
 from typing import Iterable
 
 from .bounds import gamma_formula
@@ -53,28 +55,58 @@ def psi_L(elements: Iterable[int], level: int) -> int:
     return (1 - level) * (1 << level) - 1 + terms
 
 
+def _labels(elements: Iterable[int]) -> list[int]:
+    """``disk_set`` as a list of Python ints: sorted, validated, and each
+    label passed through ``operator.index``, so a label that is not an
+    integer (1.5, say) raises TypeError, as ``nabla`` does.  The checks
+    run over the converted list; on a failure ``disk_set`` is called, so
+    the errors and their order are its own."""
+    items = list(elements)
+    try:
+        labels = sorted(map(index, items))
+    except TypeError:
+        disk_set(items)  # a negative or duplicate label is reported first
+        # a numpy bool has no __index__ but is an integer under arithmetic,
+        # as in nabla; a float still raises here
+        labels = sorted(index(label + 0) for label in items)
+    if labels and labels[0] < 0 or len(set(labels)) < len(labels):
+        disk_set(items)  # raises, naming the label as it was given
+    return labels
+
+
+def _psi(labels: list[int]) -> int:
+    """``psi`` of a list from ``_labels``."""
+    size = len(labels)
+    level = 0
+    below = bisect_left(labels, 1)  # grade 0 is the label 0 alone
+    low_sum = below  # 2**g summed over the members of grade <= level
+    while size - below > level + 1:
+        level += 1
+        top = bisect_left(labels, (level + 1) * (level + 2) // 2, below)
+        low_sum += (top - below) << level
+        below = top
+    return (1 - level) * (1 << level) - 1 + low_sum + ((size - below) << level)
+
+
 def psi(elements: Iterable[int]) -> int:
     """The potential: the supremum of psi_L over all levels L >= 0.
 
     With grades g = nabla(4, n) for the members n, one level up adds
     psi_{L+1} - psi_L = 2**L * (#{g > L} - L - 1).  The bracket strictly
     falls as L grows, so psi_L rises, then falls, and the supremum is
-    psi_{L*} for L* the first L >= 0 with #{g > L} <= L + 1.  The grades
-    come in nondecreasing order (``disk_set`` sorts and nabla is
-    monotone), so one pointer over them counts #{g > L} and sums 2**g over
-    the grades at or below L while L climbs to L*: O(|E| + L*) steps.
-    ``psi_L`` keeps the literal definition, and the tests compare the two.
+    psi_{L*} for L* the first L >= 0 with #{g > L} <= L + 1.
+
+    No grade is computed.  The members of grade g are exactly those in
+    [T(g), T(g + 1)) for T(g) = delta(4, g) = g(g + 1)/2, so in the sorted
+    members those of grade <= L are the first bisect_left(E, T(L + 1)).
+    As L climbs to L*, one bisect per level, from where the last stopped,
+    gives #{g > L} and adds 2**L per member of grade L.  After one sort
+    and a validation pass in C, that is O(L* log |E|) steps, where
+    L* <= |E| and L* <= nabla(4, max E) + 1 (L* <= 20 for labels below
+    200).  ``psi_L`` keeps the literal definition, and the tests compare
+    the two.
     """
-    grades = [nabla(4, n) for n in disk_set(elements)]
-    level = below = low_sum = 0  # low_sum: 2**g summed over grades[:below]
-    while True:
-        while below < len(grades) and grades[below] <= level:
-            low_sum += 1 << grades[below]
-            below += 1
-        if len(grades) - below <= level + 1:
-            break
-        level += 1
-    return (1 - level) * (1 << level) - 1 + low_sum + ((len(grades) - below) << level)
+    return _psi(_labels(elements))
 
 
 def check_removal_bound(elements: Iterable[int], s: int, a: int) -> bool:
@@ -85,16 +117,18 @@ def check_removal_bound(elements: Iterable[int], s: int, a: int) -> bool:
     """
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
-    members = disk_set(elements)
-    if a not in members:
+    labels = _labels(elements)
+    if a not in labels:
         raise ValueError(f"element {a} is not in the set")
     cutoff = delta(4, s)
-    overflow = sum(1 for n in members if n >= cutoff)
+    overflow = len(labels) - bisect_left(labels, cutoff)
     if overflow > s:
         raise NotApplicableError(
             f"{overflow} members are >= delta(4, {s}) = {cutoff}; at most {s} allowed"
         )
-    drop = psi(members) - psi(n for n in members if n != a)
+    drop = _psi(labels)
+    labels.remove(a)
+    drop -= _psi(labels)
     return DyadicRational.from_int(drop) <= DyadicRational(1, s - 1)
 
 
@@ -103,7 +137,7 @@ def check_union_bound(a_elements: Iterable[int], b_elements: Iterable[int]) -> b
 
     The right side is Gamma(4, N + 3) - 3, an integer.
     """
-    a_set = disk_set(a_elements)
-    b_set = disk_set(b_elements)
-    n = len(set(a_set) | set(b_set))
-    return psi(a_set) + psi(b_set) >= gamma_formula(4, n + 3)[0] - 3
+    a_labels = _labels(a_elements)
+    b_labels = _labels(b_elements)
+    n = len(set(a_labels).union(b_labels))
+    return _psi(a_labels) + _psi(b_labels) >= gamma_formula(4, n + 3)[0] - 3

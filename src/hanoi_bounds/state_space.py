@@ -16,9 +16,10 @@ block of smaller disks and a block of larger ones; the rule, and why a
 pair's move undoes itself, are argued once, in its docstring.
 ``_move_tables`` folds ``_join`` over a block of disks.  A search reads a
 rank through the tables of its two halves, the n // 2 smallest disks and
-the rest (p**(n // 2) and p**(n - n // 2) columns), and ``exact_gamma``'s
-dense table is their ``_join``.  ``_mirror_tables`` folds a peg
-relabeling over the disks the same way, as an outer sum.
+the rest (p**(n // 2) and p**(n - n // 2) columns): ``distance`` builds
+only their steps, and ``exact_gamma``'s dense table is their ``_join``.
+``_mirror_tables`` folds a peg relabeling over the disks the same way, as
+an outer sum.
 
 ``distance`` expands a level one peg pair at a time, dropping the
 neighbours its seen table holds (self-loops among them) and marking the
@@ -168,13 +169,14 @@ def _disk_moves(p: int, disk: int) -> tuple[np.ndarray, np.ndarray]:
     return bits, steps
 
 
-def _join(low: tuple, high: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The (bits, steps) move table of two blocks of disks together, from
-    the tables of each, where every disk of ``low`` is smaller than every
-    disk of ``high`` and disks keep their numbers in the whole rank.
-    Column hi * cols(low) + lo, placing low's disks as low's column lo and
-    high's as high's column hi, takes low's entry where its step is
-    nonzero and high's entry elsewhere.
+def _join(low: tuple, high: tuple) -> tuple[np.ndarray, ...]:
+    """The move table of two blocks of disks together, from the tables of
+    each, where every disk of ``low`` is smaller than every disk of
+    ``high`` and disks keep their numbers in the whole rank.  A table is
+    (bits, steps) or (steps,): its last array holds the steps.  Column
+    hi * cols(low) + lo, placing low's disks as low's column lo and high's
+    as high's column hi, takes low's entries where its step is nonzero and
+    high's entries elsewhere.
 
     A pair moves the smaller of its two top disks.  Where low's step is
     nonzero, a peg of the pair holds a low disk, so the pair's smaller top
@@ -187,21 +189,22 @@ def _join(low: tuple, high: tuple) -> tuple[np.ndarray, np.ndarray]:
     is an involution on ranks, and no pair maps two ranks onto one
     neighbour.
     """
-    (low_bits, low_steps), (high_bits, high_steps) = low, high
-    own = (low_steps != 0)[:, None, :]  # the low block moves a disk
+    own = (low[-1] != 0)[:, None, :]  # the low block moves a disk
     return tuple(
         np.where(own, lo[:, None, :], hi[:, :, None]).reshape(len(lo), -1)
-        for lo, hi in ((low_bits, high_bits), (low_steps, high_steps))
+        for lo, hi in zip(low, high)
     )
 
 
-def _move_tables(p: int, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+def _move_tables(p: int, first: int, last: int, bits: bool = True) -> tuple[np.ndarray, ...]:
     """Each peg pair's move among disks first, ..., last - 1 alone, over
-    every placement of them: ``_join`` folded over the disks from the
-    smallest up, starting from one column that moves nothing (no disks)."""
+    every placement of them, as (bits, steps), or as (steps,) when
+    ``bits`` is false: ``_join`` folded over the disks from the smallest
+    up, starting from one column that moves nothing (no disks)."""
     zero = np.zeros((p * (p - 1) // 2, 1), dtype=np.int64)
-    disks = (_disk_moves(p, disk) for disk in range(first, last))
-    return functools.reduce(_join, disks, (zero, zero))
+    keep = slice(0 if bits else 1, None)
+    disks = (_disk_moves(p, disk)[keep] for disk in range(first, last))
+    return functools.reduce(_join, disks, (zero, zero)[keep])
 
 
 def _mirror_tables(sigma: list[int], p: int, first: int, last: int) -> np.ndarray:
@@ -284,10 +287,10 @@ def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
     ends = [u] if mirrored else [u, v]
     half = n // 2
     split = p**half
-    # bool seen tables; int64 bits and steps per pair and half row, int64 mirror ranks
-    half_bytes = 8 * (p * (p - 1) + mirrored) * (split + p ** (n - half))
+    # bool seen tables; int64 steps per pair and half row, int64 mirror ranks
+    half_bytes = 8 * (p * (p - 1) // 2 + mirrored) * (split + p ** (n - half))
     _check_memory(len(ends) * size + half_bytes, "distance search")
-    (_, low), (_, high) = _move_tables(p, 0, half), _move_tables(p, half, n)  # no bits read
+    (low,), (high,) = _move_tables(p, 0, half, False), _move_tables(p, half, n, False)
     seens = [np.zeros(size, dtype=bool) for _ in ends]
     frontiers = [np.array([end.rank()], dtype=np.int64) for end in ends]
     for seen, frontier in zip(seens, frontiers):

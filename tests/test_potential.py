@@ -1,4 +1,6 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -156,3 +158,117 @@ def test_check_union_bound_random_instances():
 def test_union_numerator_always_divisible_by_four():
     for n in range(0, 400):
         assert (phi_closed(4, n + 3) - 5) % 4 == 0
+
+
+def _literal_psi(members):
+    # the maximum of psi_L over every level up to nabla(4, max E) + 1, past
+    # which psi_L only falls
+    top = nabla(4, max(members)) + 1 if members else 1
+    return max(psi_L(members, level) for level in range(top + 1))
+
+
+def test_psi_at_grade_boundaries():
+    # grade g holds [T(g), T(g + 1)) for T(g) = g(g + 1)/2: members on
+    # either side of a boundary must land in the right grade
+    rng = random.Random(19)
+    for g in range(1, 40):
+        t = g * (g + 1) // 2
+        members = [t - 1, t, t + 1]
+        assert psi(members) == _literal_psi(members), g
+        members = sorted(set(rng.sample(range(t + 2), min(t + 2, 12))) | {t - 1, t, t + 1})
+        assert psi(members) == _literal_psi(members), g
+
+
+def test_psi_with_labels_up_to_a_million():
+    rng = random.Random(23)
+    for size in (1, 2, 5, 20, 40):
+        members = rng.sample(range(10**6 + 1), size)
+        assert psi(members) == _literal_psi(members)
+    assert psi([10**6]) == _literal_psi([10**6])
+
+
+def test_psi_on_sets_whose_top_level_passes_twenty():
+    rng = random.Random(29)
+    for size in (400, 800, 1200):
+        members = sorted(rng.sample(range(2000), size))
+        top = nabla(4, members[-1]) + 1
+        values = [psi_L(members, level) for level in range(top + 1)]
+        assert values.index(max(values)) > 20
+        assert psi(members) == max(values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, 4095, 12345, 10**5])
+def test_gathered_set_identity_at_large_n(n):
+    assert 2 * psi(range(n)) == phi_closed(4, n + 1) - 1
+
+
+def test_psi_rejects_non_integer_labels():
+    with pytest.raises(TypeError):
+        psi([1.5])
+    with pytest.raises(TypeError):
+        psi([0, 2, 7.0])
+
+
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        ([3, -2, -5], "disk labels must be nonnegative, got -5"),
+        ([4, 2, 4], "duplicate disk label 4"),
+        ([True, 1], "duplicate disk label True"),
+        # a negative or duplicate label is reported before a non-integer one
+        ([-1.5, 2], "disk labels must be nonnegative, got -1.5"),
+        ([1.5, 1.5], "duplicate disk label 1.5"),
+    ],
+)
+def test_psi_invalid_labels_keep_their_messages(elements, message):
+    with pytest.raises(ValueError) as excinfo:
+        psi(elements)
+    assert str(excinfo.value) == message
+
+
+def test_psi_of_bools_and_numpy_ints():
+    import numpy as np
+
+    assert psi([False, True]) == psi([0, 1]) == _literal_psi([False, True])
+    assert psi([np.True_, np.int8(3)]) == psi([1, 3]) == _literal_psi([np.True_, np.int8(3)])
+    for dtype in (np.int32, np.int64, np.uint16):
+        members = np.array([0, 3, 4, 10, 11, 45, 200], dtype=dtype)
+        assert psi(members) == psi(members.tolist()) == _literal_psi(list(members))
+    assert psi(np.arange(300)) == psi(range(300))
+
+
+def test_check_removal_bound_at_a_huge_s():
+    # 2**(s - 1) is never built: the comparison goes by bit lengths
+    start = time.perf_counter()
+    assert check_removal_bound(range(5), 10**12, 0) is True
+    assert time.perf_counter() - start < 1.0
+
+
+def test_check_removal_bound_of_the_first_and_last_member():
+    members = (0, 1, 2, 3, 5, 6, 9, 14)
+    for a in (members[0], members[-1]):
+        drop = _literal_psi(members) - _literal_psi([x for x in members if x != a])
+        for s in range(4, 8):
+            assert check_removal_bound(members, s, a) is (drop <= Fraction(2) ** (s - 1))
+    assert check_removal_bound((0, 1, 2, 3), 2, 0) is True  # psi drops by 6 - 4 = 2
+
+
+def test_check_removal_bound_rejects_a_non_member():
+    with pytest.raises(ValueError, match="element 4 is not in the set"):
+        check_removal_bound((0, 1, 2, 3), 2, 4)
+
+
+def test_checks_match_the_literal_potential():
+    from hanoi_bounds.verify import random_removal_instance
+
+    rng = random.Random(107)
+    for _ in range(300):
+        members, s, a = random_removal_instance(rng)
+        drop = _literal_psi(members) - _literal_psi([x for x in members if x != a])
+        assert check_removal_bound(members, s, a) is (drop <= Fraction(2) ** (s - 1))
+    for _ in range(300):
+        a_set = rng.sample(range(200), rng.randint(0, 60))
+        b_set = rng.sample(range(200), rng.randint(0, 60))
+        n = len(set(a_set) | set(b_set))
+        literal = 4 * (_literal_psi(a_set) + _literal_psi(b_set)) >= phi_closed(4, n + 3) - 5
+        assert check_union_bound(a_set, b_set) is literal

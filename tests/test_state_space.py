@@ -361,7 +361,7 @@ def test_one_level_emits_every_unseen_neighbour_once():
         seen = set(frontier) | set(rng.sample(range(size), rng.randint(0, size)))
         table = np.zeros(size, dtype=bool)
         table[sorted(seen)] = True
-        (_, low), (_, high) = _move_tables(p, 0, n // 2), _move_tables(p, n // 2, n)
+        (low,), (high,) = _move_tables(p, 0, n // 2, False), _move_tables(p, n // 2, n, False)
         ranks = np.array(frontier, dtype=np.int64)
         fresh = _expand(ranks, np.divmod(ranks, p ** (n // 2)), table, low, high)
         expected = set()
@@ -603,13 +603,13 @@ def test_memory_check_counts_every_table_a_search_builds(monkeypatch):
     for name in ("_move_tables", "_mirror_tables", "_join"):
         monkeypatch.setattr(state_space, name, recording(getattr(state_space, name)))
     monkeypatch.setattr(state_space, "np", SeenTables())
-    # (search, tables built): four half tables (bits and steps per half) each,
-    # with one seen table and two mirror tables for exact_H's mirrored
-    # endpoints, two seen tables for an unrelated pair, and one seen table
-    # and two dense ones for exact_gamma
+    # (search, tables built): distance builds two half step tables, with
+    # one seen table and two mirror tables for exact_H's mirrored endpoints
+    # and two seen tables for an unrelated pair; exact_gamma builds four
+    # half tables (bits and steps per half), one seen table and two dense
     searches = (
-        (lambda: exact_H(5, 7), 7),
-        (lambda: distance(Configuration.all_on(4, 7, 0), Configuration(4, (1,) + (2,) * 6)), 6),
+        (lambda: exact_H(5, 7), 5),
+        (lambda: distance(Configuration.all_on(4, 7, 0), Configuration(4, (1,) + (2,) * 6)), 4),
         (lambda: exact_gamma(4, 5), 7),
     )
     for search, tables in searches:
