@@ -5,10 +5,13 @@ two target pegs in exactly (Phi(4, N+1) - 1) / 2 moves.  The tight pair
 realizes the minimum distance between a configuration confined to pegs
 {0, 1} and one confined to pegs {2, 3}.  The essential-path construction
 moves every disk at least once in exactly 3 + (Phi(4, N) - 5) / 4 moves,
-the least possible.
+the least possible.  The last two share one core: small disks spread over
+{0, 1} are gathered onto peg 3, a large disk crosses from peg 1 to peg 2,
+and a run of middle disks follows it from peg 0.
 
-Every returned path is replayed at construction time, so an illegal move
-or a length mismatch surfaces immediately as an error.  Each construction
+Every path is emitted once, in order, with no reversal.  Every returned
+path is replayed once at construction time, so an illegal move or a
+length mismatch surfaces immediately as an error.  Each construction
 checks its closed-form length against MAX_PATH_MOVES before emitting any
 move, and raises ValueError past it.
 """
@@ -26,8 +29,8 @@ _ALL_PEGS = (0, 1, 2, 3)
 
 def _cheapest_split(offset: int, count: int) -> int:
     """The smallest a in [0, count) minimizing
-    Phi(4, a + offset) + Phi(3, count - a)."""
-    return min(range(count), key=lambda a: phi_closed(4, a + offset) + phi_closed(3, count - a))
+    Phi(4, a + offset) + Phi(3, count - a); 0 when count is 0."""
+    return min(range(count), key=lambda a: phi_closed(4, a + offset) + phi_closed(3, count - a), default=0)
 
 
 def midpoint_path(
@@ -40,14 +43,6 @@ def midpoint_path(
     Phi(4, a) + Phi(3, b): the a smallest disks travel to targets[0] over
     all four pegs, the rest to targets[1] over {src, spare, targets[1]}.
     """
-    return _midpoint(n, src, targets, spare)[0]
-
-
-def _midpoint(
-    n: int, src: int, targets: tuple[int, int], spare: int
-) -> tuple[MovePath, Configuration]:
-    """``midpoint_path`` together with the configuration it ends in, read
-    off its one replay."""
     if n < 1:
         raise ValueError(f"need at least one disk, got {n}")
     pegs = (src, targets[0], targets[1], spare)
@@ -65,22 +60,28 @@ def _midpoint(
     for peg in (src, spare):
         if final.disks_on(peg):
             raise AssertionError(f"midpoint transfer left disks on peg {peg}")
-    return path, final
+    return path
 
 
-def _spread_and_regather(a: int) -> tuple[tuple[int, ...], list[Move]]:
-    """A placement of the a smallest disks over pegs {0, 1} together with
-    moves gathering them all onto peg 3 in (Phi(4, a+1) - 1) / 2 steps.
+def _tight_core(k: int, big: int) -> tuple[list[int], list[Move]]:
+    """The pegs of disks 0..k-2 and the moves that gather the a smallest
+    onto peg 3, move disk ``big`` (on peg 1, larger than them all) to
+    peg 2, then bring disks a..k-2 after it from peg 0 over {0, 1, 2}.
 
-    Built by reversing a midpoint transfer out of peg 3; path reversal
-    preserves legality, and larger foreign disks below the placement do
-    not interfere.  The reversed path starts where the transfer ended, so
-    no second replay is needed to find its start.
+    a is the smallest minimizing Phi(4, a+1) + Phi(3, k-a).  The gather,
+    (Phi(4, a+1) - 1) / 2 moves, is ``midpoint_path(a, 3, (0, 1), 2)``
+    walked backwards: its two transfers in the opposite order, each with
+    its ends swapped (see ``transfer_moves``), starting from where the
+    midpoint transfer ends, the b smallest disks on peg 0 and the rest
+    on peg 1.
     """
-    if a == 0:
-        return (), []
-    path, final = _midpoint(a, src=3, targets=(0, 1), spare=2)
-    return final.pegs, [m.reverse() for m in reversed(path.moves)]
+    a = _cheapest_split(1, k)
+    b = _cheapest_split(0, a)
+    pegs = [0] * b + [1] * (a - b) + [0] * (k - 1 - a)
+    moves = transfer_moves(b, a - b, (1, 2, 3), 1, 3) + transfer_moves(0, b, _ALL_PEGS, 0, 3)
+    moves.append(Move(big, 1, 2))
+    moves += transfer_moves(a, k - 1 - a, (0, 1, 2), 0, 2)
+    return pegs, moves
 
 
 def two1_tight_pair(n: int) -> tuple[Configuration, Configuration, MovePath]:
@@ -97,13 +98,8 @@ def two1_tight_pair(n: int) -> tuple[Configuration, Configuration, MovePath]:
         raise ValueError(f"need at least two disks, got {n}")
     expected = gamma_formula(4, n + 2)[0] - 2  # 1 + (Phi(4, n+2) - 5) / 4
     check_path_length(expected, f"a tight pair for {n} disks")
-    a = _cheapest_split(1, n)
-    b = n - a
-    placement, gather = _spread_and_regather(a)
-    pegs = list(placement) + [0] * (b - 1) + [1]
-    u = Configuration(4, tuple(pegs))
-    moves = gather + [Move(n - 1, 1, 2)]
-    moves += transfer_moves(a, b - 1, (0, 1, 2), 0, 2)
+    pegs, moves = _tight_core(n, n - 1)
+    u = Configuration(4, tuple(pegs + [1]))
     path = MovePath(u, tuple(moves))
     v = path.replay()
     if path.length != expected:
@@ -122,25 +118,18 @@ def main1_essential_path(n: int) -> MovePath:
     For the smallest a minimizing Phi(4, a+1) + Phi(3, b+1) over
     a + b = n - 3: the start holds disk n-1 on peg 2, disk n-2 on peg 1,
     disk n-3 under disks a..n-4 on peg 0, and the a smallest disks spread
-    over {0, 1}.  The path moves disk n-1 aside, gathers the small disks
-    onto it, frees peg 2 for disk n-2 and the run a..n-4, and finishes by
-    moving disk n-3.
+    over {0, 1}.  The path moves disk n-1 aside, then runs the tight core
+    of n-2 disks with disk n-2 as its large disk: it gathers the small
+    disks onto disk n-1, frees peg 2 for disk n-2 and the run a..n-4.  It
+    finishes by moving disk n-3.
     """
     if n < 3:
         raise ValueError(f"need at least three disks, got {n}")
     expected = gamma_formula(4, n)[0]
     check_path_length(expected, f"an essential path for {n} disks")
-    a = _cheapest_split(1, n - 2)
-    b = n - 3 - a
-    placement, gather = _spread_and_regather(a)
-    pegs = list(placement) + [0] * b + [0, 1, 2]
-    u = Configuration(4, tuple(pegs))
-    moves = [Move(n - 1, 2, 3)]
-    moves += gather
-    moves += [Move(n - 2, 1, 2)]
-    moves += transfer_moves(a, b, (0, 1, 2), 0, 2)
-    moves += [Move(n - 3, 0, 1)]
-    path = MovePath(u, tuple(moves))
+    pegs, core = _tight_core(n - 2, n - 2)
+    u = Configuration(4, tuple(pegs + [0, 1, 2]))
+    path = MovePath(u, (Move(n - 1, 2, 3), *core, Move(n - 3, 0, 1)))
     path.replay()
     if path.length != expected:
         raise AssertionError(f"essential path for {n} disks took {path.length} moves, expected {expected}")

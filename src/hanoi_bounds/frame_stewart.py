@@ -43,8 +43,9 @@ MAX_PHI_EXPONENT = 1 << 24
 MAX_RECURSIVE_DISKS = 10**6
 
 # The longest move sequence any construction emits.  Paths hold one Move
-# object per move: main1_essential_path(203), 4.06 million moves, takes 27 s
-# and 0.9 GB, and a few hundred disks more would exhaust memory.
+# object per move: main1_essential_path(203), 4.06 million moves, takes 13 s
+# and 0.55 GB in a fresh process, and a few hundred disks more would exhaust
+# memory.
 MAX_PATH_MOVES = 1 << 22
 
 
@@ -245,6 +246,14 @@ def transfer_moves(
     The caller guarantees those disks sit on top of ``src`` and that every
     other disk present anywhere is larger.  The sequence has length exactly
     Phi(len(pegs), count).
+
+    Walked backwards, with each move's ends swapped, the sequence is
+    ``transfer_moves(first_disk, count, pegs, dst, src)``.  By induction on
+    count: the spare of a 3-peg step, and the parking peg, the remaining
+    pegs and the split of a step over more pegs, depend only on the set
+    {src, dst}, ``pegs`` and count, so the three parts of the swapped
+    transfer are the three parts of this one reversed, in the opposite
+    order.
     """
     out: list[Move] = []
     _emit(first_disk, count, tuple(pegs), src, dst, out)

@@ -8,8 +8,8 @@ from hanoi_bounds.constructions import (
     midpoint_path,
     two1_tight_pair,
 )
-from hanoi_bounds.core import is_essential
-from hanoi_bounds.frame_stewart import MAX_PATH_MOVES, phi_closed
+from hanoi_bounds.core import Configuration, Move, MovePath, is_essential
+from hanoi_bounds.frame_stewart import MAX_PATH_MOVES, phi_closed, transfer_moves
 from hanoi_bounds.state_space import distance, exact_gamma
 
 
@@ -111,6 +111,56 @@ def test_main1_rejects_tiny_inputs():
         main1_essential_path(2)
     with pytest.raises(ValueError):
         two1_tight_pair(1)
+
+
+def _reference_tight_core(k, big):
+    # the gather built by replaying a midpoint transfer out of peg 3 and
+    # walking it backwards, move by move
+    a = min(range(k), key=lambda a: phi_closed(4, a + 1) + phi_closed(3, k - a))
+    gather = midpoint_path(a, 3, (0, 1), 2).reversed() if a else MovePath(Configuration(4, ()), ())
+    pegs = list(gather.start.pegs) + [0] * (k - 1 - a)
+    moves = [*gather.moves, Move(big, 1, 2), *transfer_moves(a, k - 1 - a, (0, 1, 2), 0, 2)]
+    return pegs, moves
+
+
+def test_tight_pair_and_essential_path_match_the_reversed_midpoint_transfer():
+    for n in range(2, 61):
+        pegs, moves = _reference_tight_core(n, n - 1)
+        u, _, path = two1_tight_pair(n)
+        assert u == path.start == Configuration(4, tuple(pegs + [1]))
+        assert path.moves == tuple(moves)
+        if n >= 3:
+            pegs, moves = _reference_tight_core(n - 2, n - 2)
+            path = main1_essential_path(n)
+            assert path.start == Configuration(4, tuple(pegs + [0, 1, 2]))
+            assert path.moves == (Move(n - 1, 2, 3), *moves, Move(n - 3, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: midpoint_path(9, 0, (2, 3), 1),
+        lambda: two1_tight_pair(9),
+        lambda: main1_essential_path(11),
+    ],
+    ids=["midpoint_path", "two1_tight_pair", "main1_essential_path"],
+)
+def test_constructions_replay_once_and_reverse_nothing(build, monkeypatch):
+    calls = {"replay": 0, "reverse": 0}
+    replay, reverse = MovePath.replay, Move.reverse
+
+    def counted_replay(self):
+        calls["replay"] += 1
+        return replay(self)
+
+    def counted_reverse(self):
+        calls["reverse"] += 1
+        return reverse(self)
+
+    monkeypatch.setattr(MovePath, "replay", counted_replay)
+    monkeypatch.setattr(Move, "reverse", counted_reverse)
+    build()
+    assert calls == {"replay": 1, "reverse": 0}
 
 
 @pytest.mark.parametrize(

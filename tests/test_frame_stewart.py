@@ -1,4 +1,5 @@
 import time
+from itertools import permutations
 
 import pytest
 
@@ -14,6 +15,7 @@ from hanoi_bounds.frame_stewart import (
     phi_closed,
     phi_recursive,
     phi_spectrum,
+    transfer_moves,
 )
 from hanoi_bounds.numerics import delta, nabla
 
@@ -250,6 +252,18 @@ def test_frame_stewart_path_realizable_up_to_fifteen_disks(q):
         assert path.replay() == Configuration.all_on(q, n, q - 1)
         if n > 0:
             assert is_essential(path)
+
+
+@pytest.mark.parametrize("q, most", [(3, 12), (4, 30), (5, 30), (6, 30)])
+def test_transfer_walked_backwards_is_the_transfer_with_its_ends_swapped(q, most):
+    # the constructions emit reversed transfers forwards on this identity
+    pegs = tuple(range(q))
+    for first in (0, 2):
+        for count in range(most + 1):
+            moves = {(x, y): transfer_moves(first, count, pegs, x, y) for x, y in permutations(pegs, 2)}
+            for (x, y), forwards in moves.items():
+                backwards = [m.reverse() for m in reversed(forwards)]
+                assert backwards == moves[y, x], (x, y, first, count)
 
 
 def test_frame_stewart_path_past_the_search_limit():
