@@ -18,9 +18,12 @@ move, and raises ValueError past it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .bounds import gamma_formula
-from .core import Configuration, Move, MovePath, is_essential
-from .frame_stewart import check_path_length, phi_closed, transfer_moves
+from .core import Configuration, MovePath, is_essential
+from .frame_stewart import MoveWriter, check_path_length, phi_closed
+from .numerics import nabla
 
 __all__ = ["main1_essential_path", "midpoint_path", "two1_tight_pair"]
 
@@ -29,8 +32,14 @@ _ALL_PEGS = (0, 1, 2, 3)
 
 def _cheapest_split(offset: int, count: int) -> int:
     """The smallest a in [0, count) minimizing
-    Phi(4, a + offset) + Phi(3, count - a); 0 when count is 0."""
-    return min(range(count), key=lambda a: phi_closed(4, a + offset) + phi_closed(3, count - a), default=0)
+    Phi(4, a + offset) + Phi(3, count - a); 0 when count is 0.
+
+    Phi(q, k + 1) - Phi(q, k) = 2**nabla(q, k), so the sum steps by
+    2**nabla(4, a + offset) - 2**(count - a - 1) from a to a + 1.  The step
+    grows with a, so the sum is convex, and the smallest minimizer is the
+    first a whose step is not negative, or count - 1: a bisection.
+    """
+    return bisect_left(range(count - 1), True, key=lambda a: nabla(4, a + offset) >= count - a - 1)
 
 
 def midpoint_path(
@@ -51,9 +60,10 @@ def midpoint_path(
     expected = (phi_closed(4, n + 1) - 1) // 2
     check_path_length(expected, f"a midpoint transfer of {n} disks")
     a = _cheapest_split(0, n)
-    moves = transfer_moves(0, a, _ALL_PEGS, src, targets[0])
-    moves += transfer_moves(a, n - a, tuple(sorted((src, spare, targets[1]))), src, targets[1])
-    path = MovePath(Configuration.all_on(4, n, src), tuple(moves))
+    out = MoveWriter()
+    out.transfer(0, a, _ALL_PEGS, src, targets[0])
+    out.transfer(a, n - a, tuple(sorted((src, spare, targets[1]))), src, targets[1])
+    path = MovePath(Configuration.all_on(4, n, src), out.moves())
     final = path.replay()
     if path.length != expected:
         raise AssertionError(f"midpoint transfer of {n} disks took {path.length} moves, expected {expected}")
@@ -63,10 +73,11 @@ def midpoint_path(
     return path
 
 
-def _tight_core(k: int, big: int) -> tuple[list[int], list[Move]]:
-    """The pegs of disks 0..k-2 and the moves that gather the a smallest
-    onto peg 3, move disk ``big`` (on peg 1, larger than them all) to
-    peg 2, then bring disks a..k-2 after it from peg 0 over {0, 1, 2}.
+def _tight_core(k: int, big: int, out: MoveWriter) -> list[int]:
+    """The pegs of disks 0..k-2; appends to ``out`` the moves that gather
+    the a smallest onto peg 3, move disk ``big`` (on peg 1, larger than
+    them all) to peg 2, then bring disks a..k-2 after it from peg 0 over
+    {0, 1, 2}.
 
     a is the smallest minimizing Phi(4, a+1) + Phi(3, k-a).  The gather,
     (Phi(4, a+1) - 1) / 2 moves, is ``midpoint_path(a, 3, (0, 1), 2)``
@@ -78,10 +89,11 @@ def _tight_core(k: int, big: int) -> tuple[list[int], list[Move]]:
     a = _cheapest_split(1, k)
     b = _cheapest_split(0, a)
     pegs = [0] * b + [1] * (a - b) + [0] * (k - 1 - a)
-    moves = transfer_moves(b, a - b, (1, 2, 3), 1, 3) + transfer_moves(0, b, _ALL_PEGS, 0, 3)
-    moves.append(Move(big, 1, 2))
-    moves += transfer_moves(a, k - 1 - a, (0, 1, 2), 0, 2)
-    return pegs, moves
+    out.transfer(b, a - b, (1, 2, 3), 1, 3)
+    out.transfer(0, b, _ALL_PEGS, 0, 3)
+    out.move(big, 1, 2)
+    out.transfer(a, k - 1 - a, (0, 1, 2), 0, 2)
+    return pegs
 
 
 def two1_tight_pair(n: int) -> tuple[Configuration, Configuration, MovePath]:
@@ -98,9 +110,10 @@ def two1_tight_pair(n: int) -> tuple[Configuration, Configuration, MovePath]:
         raise ValueError(f"need at least two disks, got {n}")
     expected = gamma_formula(4, n + 2)[0] - 2  # 1 + (Phi(4, n+2) - 5) / 4
     check_path_length(expected, f"a tight pair for {n} disks")
-    pegs, moves = _tight_core(n, n - 1)
+    out = MoveWriter()
+    pegs = _tight_core(n, n - 1, out)
     u = Configuration(4, tuple(pegs + [1]))
-    path = MovePath(u, tuple(moves))
+    path = MovePath(u, out.moves())
     v = path.replay()
     if path.length != expected:
         raise AssertionError(f"tight pair for {n} disks took {path.length} moves, expected {expected}")
@@ -127,9 +140,12 @@ def main1_essential_path(n: int) -> MovePath:
         raise ValueError(f"need at least three disks, got {n}")
     expected = gamma_formula(4, n)[0]
     check_path_length(expected, f"an essential path for {n} disks")
-    pegs, core = _tight_core(n - 2, n - 2)
+    out = MoveWriter()
+    out.move(n - 1, 2, 3)
+    pegs = _tight_core(n - 2, n - 2, out)
+    out.move(n - 3, 0, 1)
     u = Configuration(4, tuple(pegs + [0, 1, 2]))
-    path = MovePath(u, (Move(n - 1, 2, 3), *core, Move(n - 3, 0, 1)))
+    path = MovePath(u, out.moves())
     path.replay()
     if path.length != expected:
         raise AssertionError(f"essential path for {n} disks took {path.length} moves, expected {expected}")

@@ -11,17 +11,19 @@ verify suites and the tests.
 
 from __future__ import annotations
 
+from array import array
 from itertools import repeat
 from math import comb
 from typing import Iterable
 
-from .core import Configuration, Move, MovePath
+from .core import Configuration, MovePath, Moves
 from .numerics import delta, nabla
 
 __all__ = [
     "MAX_PATH_MOVES",
     "MAX_PHI_EXPONENT",
     "MAX_RECURSIVE_DISKS",
+    "MoveWriter",
     "best_split",
     "check_path_length",
     "frame_stewart_path",
@@ -42,10 +44,11 @@ MAX_PHI_EXPONENT = 1 << 24
 # 8 pegs, and 180 MB at 4 pegs, where the top row holds the largest values.
 MAX_RECURSIVE_DISKS = 10**6
 
-# The longest move sequence any construction emits.  Paths hold one Move
-# object per move: main1_essential_path(203), 4.06 million moves, takes 13 s
-# and 0.55 GB in a fresh process, and a few hundred disks more would exhaust
-# memory.
+# The longest move sequence any construction emits.  Paths hold three 4-byte
+# labels per move: main1_essential_path(203), 4.06 million moves, takes about
+# 2 s and 62 MB in a fresh process (2-vCPU VM, Python 3.11).  The text and
+# JSON forms still take Python objects per move: ``construct --kind main1
+# --disks 203`` takes about 4 s and 0.37 GB as text.
 MAX_PATH_MOVES = 1 << 22
 
 
@@ -229,7 +232,9 @@ def check_path_length(length: int, what: str) -> None:
 
 
 def best_split(p: int, n: int) -> int:
-    """The smallest l in [1, n-1] minimizing 2*Phi(p, l) + Phi(p-1, n-l)."""
+    """The smallest l in [1, n-1] minimizing 2*Phi(p, l) + Phi(p-1, n-l),
+    by a scan over every l; ``transfer_moves`` takes its splits from
+    ``_split``, which the tests check against this scan."""
     if p < 4:
         raise ValueError(f"best_split needs at least 4 pegs, got {p}")
     if n < 2:
@@ -237,15 +242,113 @@ def best_split(p: int, n: int) -> int:
     return min(range(1, n), key=lambda split: 2 * phi_closed(p, split) + phi_closed(p - 1, n - split))
 
 
-def transfer_moves(
-    first_disk: int, count: int, pegs: tuple[int, ...], src: int, dst: int
-) -> list[Move]:
-    """Moves relocating the stack of disks first_disk..first_disk+count-1
-    from ``src`` to ``dst`` using only the pegs in ``pegs``.
+def _split(p: int, n: int) -> int:
+    """best_split(p, n) without a scan, for p >= 4 and n >= 2.
+
+    Phi(q, k) adds the first k steps Phi(q, i + 1) - Phi(q, i) = 2**nabla(q, i)
+    of the q-peg spectrum, which has C(j + q - 3, q - 3) steps of 2**j.  So
+    2 * Phi(p, l) + Phi(p - 1, n - l) adds n steps of a pool: the p-peg
+    steps doubled, C(j + p - 4, p - 3) of them worth 2**j, and the (p - 1)-peg
+    steps, C(j + p - 4, p - 4) worth 2**j.  Each part takes its cheapest
+    steps first, and by Pascal's rule the pool holds C(j + p - 3, p - 3)
+    steps of 2**j, as the p-peg spectrum does.  So a split is best exactly
+    when the two parts take every step below 2**m, m = nabla(p, n), which
+    needs l >= delta(p, m - 1), plus r = n - delta(p, m) steps of 2**m.  The
+    smallest such l leaves the (p - 1)-peg part as many of the r as its
+    C(m + p - 4, p - 4) allow, and is at least 1 as best_split's range is.
+    """
+    m = nabla(p, n)
+    extra = n - delta(p, m) - comb(m + p - 4, p - 4)
+    return max(1, delta(p, m - 1) + max(0, extra))
+
+
+class MoveWriter:
+    """Moves appended to three arrays, of moved disks, sources and targets.
+
+    ``transfer`` appends Frame-Stewart transfers.  Each writer keeps its own
+    table of splits, one entry per (peg count, disk count) it meets, so no
+    call inherits another's work.  ``moves`` hands the arrays over as
+    ``Moves``, uncopied, so nothing may be written after it.
+    """
+
+    def __init__(self) -> None:
+        self.disks, self.srcs, self.dsts = (array(Moves.typecode) for _ in range(3))
+        self._splits: dict[tuple[int, int], int] = {}
+
+    def move(self, disk: int, src: int, dst: int) -> None:
+        self.disks.append(disk)
+        self.srcs.append(src)
+        self.dsts.append(dst)
+
+    def moves(self) -> Moves:
+        return Moves._wrap(self.disks, self.srcs, self.dsts)
+
+    def transfer(self, first: int, count: int, pegs: tuple[int, ...], src: int, dst: int) -> None:
+        """Append ``transfer_moves(first, count, pegs, src, dst)``."""
+        if count <= 1:
+            if count < 0:
+                raise ValueError(f"disk count must be nonnegative, got {count}")
+            if count:
+                self.move(first, src, dst)
+            return
+        if len(pegs) == 3:
+            spare = next(x for x in pegs if x != src and x != dst)
+            self._stretch(first, count, src, spare, dst)
+            return
+        key = (len(pegs), count)
+        split = self._splits.get(key)
+        if split is None:
+            split = self._splits[key] = _split(*key)
+        parking = next(x for x in pegs if x != src and x != dst)
+        self.transfer(first, split, pegs, src, parking)
+        self.transfer(first + split, count - split, tuple(x for x in pegs if x != parking), src, dst)
+        self.transfer(first, split, pegs, parking, dst)
+
+    def _stretch(self, first: int, count: int, src: int, spare: int, dst: int) -> None:
+        """The 3-peg transfer by the binary rule (see ``transfer_moves``)."""
+        cycles = []
+        for k in range(count):
+            cycle = (src, dst, spare) if (count - k) & 1 else (src, spare, dst)
+            cycles.append((first + k, cycle, cycle[1:] + cycle[:1]))
+        disks, srcs, dsts = self.disks.append, self.srcs.append, self.dsts.append
+        for i in range(1, 1 << count):
+            k = (i & -i).bit_length() - 1
+            j = (i >> (k + 1)) % 3
+            disk, froms, tos = cycles[k]
+            disks(disk)
+            srcs(froms[j])
+            dsts(tos[j])
+
+
+def transfer_moves(first_disk: int, count: int, pegs: tuple[int, ...], src: int, dst: int) -> Moves:
+    """The moves, as ``Moves``, relocating the stack of disks
+    first_disk..first_disk+count-1 from ``src`` to ``dst`` using only the
+    pegs in ``pegs``; ValueError for a label past 2**32 - 1.
 
     The caller guarantees those disks sit on top of ``src`` and that every
     other disk present anywhere is larger.  The sequence has length exactly
     Phi(len(pegs), count).
+
+    Over q >= 4 pegs it is the Frame-Stewart recursion: the l smallest
+    disks, l = best_split(q, count), move to the parking peg, the smallest
+    label of ``pegs`` other than src and dst, over all q pegs; the rest move
+    over the other q - 1; the l follow them over all q.
+
+    Over three pegs it follows the binary rule.  Number the moves from 1:
+    move i moves disk first_disk + k with k = ctz(i), the number of trailing
+    zero bits of i, and that is the disk's move j = i >> (k + 1), counted
+    from 0, along its cycle: src -> dst -> spare -> src when count - k is
+    odd, src -> spare -> dst -> src when it is even.  By induction on count:
+    the recursion moves count - 1 disks onto the spare, the largest disk
+    (move 2**(count - 1), k = count - 1, j = 0) from src to dst, and the
+    count - 1 disks onto dst.  The first part is the rule for count - 1
+    disks, whose parities are the other way round, so each disk runs the
+    same cycle.  In the last part move i + 2**(count - 1) has the same k, so
+    the same disk, and j larger by 2**(count - 2 - k); the cycles for
+    count - 1 disks from the spare are those of the first part turned by
+    one place when count - 2 - k is even and by two when it is odd, and
+    2**e is 1 mod 3 for even e and 2 for odd e, so each disk goes on round
+    its cycle from where the first part left it.
 
     Walked backwards, with each move's ends swapped, the sequence is
     ``transfer_moves(first_disk, count, pegs, dst, src)``.  By induction on
@@ -255,29 +358,14 @@ def transfer_moves(
     transfer are the three parts of this one reversed, in the opposite
     order.
     """
-    out: list[Move] = []
-    _emit(first_disk, count, tuple(pegs), src, dst, out)
-    return out
-
-
-def _emit(first: int, count: int, pegs: tuple[int, ...], src: int, dst: int, out: list[Move]) -> None:
-    if count == 0:
-        return
-    if count == 1:
-        out.append(Move(first, src, dst))
-        return
-    if len(pegs) == 3:
-        spare = next(x for x in pegs if x != src and x != dst)
-        _emit(first, count - 1, pegs, src, spare, out)
-        out.append(Move(first + count - 1, src, dst))
-        _emit(first, count - 1, pegs, spare, dst, out)
-        return
-    split = best_split(len(pegs), count)
-    parking = next(x for x in pegs if x != src and x != dst)
-    _emit(first, split, pegs, src, parking, out)
-    remaining = tuple(x for x in pegs if x != parking)
-    _emit(first + split, count - split, remaining, src, dst, out)
-    _emit(first, split, pegs, parking, dst, out)
+    writer = MoveWriter()
+    try:
+        writer.transfer(first_disk, count, tuple(pegs), src, dst)
+    except OverflowError:  # from the arrays, on a label they cannot hold
+        raise ValueError(
+            f"disk and peg labels must lie in [0, 2**32), got disks from {first_disk} and pegs {pegs}"
+        ) from None
+    return writer.moves()
 
 
 def frame_stewart_path(n: int, pegs: Iterable[int], src: int, dst: int) -> MovePath:
@@ -297,6 +385,5 @@ def frame_stewart_path(n: int, pegs: Iterable[int], src: int, dst: int) -> MoveP
     if src not in peg_tuple or dst not in peg_tuple:
         raise ValueError(f"src={src} and dst={dst} must both be in {peg_tuple}")
     check_path_length(phi_closed(q, n), f"a {q}-peg transfer of {n} disks")
-    moves = transfer_moves(0, n, peg_tuple, src, dst)
     start = Configuration.all_on(max(peg_tuple) + 1, n, src)
-    return MovePath(start, tuple(moves))
+    return MovePath(start, transfer_moves(0, n, peg_tuple, src, dst))

@@ -4,6 +4,7 @@ import pytest
 
 from hanoi_bounds.bounds import gamma_formula
 from hanoi_bounds.constructions import (
+    _cheapest_split,
     main1_essential_path,
     midpoint_path,
     two1_tight_pair,
@@ -113,6 +114,18 @@ def test_main1_rejects_tiny_inputs():
         two1_tight_pair(1)
 
 
+def test_cheapest_split_matches_the_scan():
+    # the bisection against the scan over every split it replaced
+    for offset in (0, 1):
+        for count in range(301):
+            scan = min(
+                range(count),
+                key=lambda a: phi_closed(4, a + offset) + phi_closed(3, count - a),
+                default=0,
+            )
+            assert _cheapest_split(offset, count) == scan, (offset, count)
+
+
 def _reference_tight_core(k, big):
     # the gather built by replaying a midpoint transfer out of peg 3 and
     # walking it backwards, move by move
@@ -128,12 +141,12 @@ def test_tight_pair_and_essential_path_match_the_reversed_midpoint_transfer():
         pegs, moves = _reference_tight_core(n, n - 1)
         u, _, path = two1_tight_pair(n)
         assert u == path.start == Configuration(4, tuple(pegs + [1]))
-        assert path.moves == tuple(moves)
+        assert list(path.moves) == moves
         if n >= 3:
             pegs, moves = _reference_tight_core(n - 2, n - 2)
             path = main1_essential_path(n)
             assert path.start == Configuration(4, tuple(pegs + [0, 1, 2]))
-            assert path.moves == (Move(n - 1, 2, 3), *moves, Move(n - 3, 0, 1))
+            assert list(path.moves) == [Move(n - 1, 2, 3), *moves, Move(n - 3, 0, 1)]
 
 
 @pytest.mark.parametrize(

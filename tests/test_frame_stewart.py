@@ -1,15 +1,18 @@
 import time
+from functools import cache
 from itertools import permutations
 
 import pytest
 
 from hanoi_bounds import frame_stewart
-from hanoi_bounds.core import Configuration, is_essential
+from hanoi_bounds.core import Configuration, Moves, is_essential
 from hanoi_bounds.frame_stewart import (
     MAX_PATH_MOVES,
     MAX_PHI_EXPONENT,
     MAX_RECURSIVE_DISKS,
     _SPECTRUM_LEAF,
+    MoveWriter,
+    _split,
     best_split,
     frame_stewart_path,
     phi_closed,
@@ -231,7 +234,7 @@ def test_best_split_value_matches_phi():
 
 
 def test_frame_stewart_path_trivial_cases():
-    assert frame_stewart_path(0, (0, 1, 2), 0, 2).moves == ()
+    assert list(frame_stewart_path(0, (0, 1, 2), 0, 2).moves) == []
     classic = frame_stewart_path(3, (0, 1, 2), 0, 2)
     assert classic.length == 7
     assert classic.replay() == Configuration.all_on(3, 3, 2)
@@ -263,7 +266,52 @@ def test_transfer_walked_backwards_is_the_transfer_with_its_ends_swapped(q, most
             moves = {(x, y): transfer_moves(first, count, pegs, x, y) for x, y in permutations(pegs, 2)}
             for (x, y), forwards in moves.items():
                 backwards = [m.reverse() for m in reversed(forwards)]
-                assert backwards == moves[y, x], (x, y, first, count)
+                assert backwards == list(moves[y, x]), (x, y, first, count)
+
+
+def test_split_table_matches_the_scan():
+    # _split answers without a scan; best_split tries every split
+    for q in range(4, 11):
+        for count in range(2, 301):
+            assert _split(q, count) == best_split(q, count), (q, count)
+    writer = MoveWriter()
+    writer.transfer(0, 40, tuple(range(6)), 0, 5)
+    assert writer._splits and all(split == best_split(*key) for key, split in writer._splits.items())
+
+
+def _reference_transfer(first, count, pegs, src, dst, out, split):
+    # the recursion transfer_moves replaced: a split from best_split at every
+    # node of four or more pegs, and every 3-peg stretch by recursion
+    if count == 0:
+        return
+    if count == 1:
+        out.append((first, src, dst))
+        return
+    if len(pegs) == 3:
+        spare = next(x for x in pegs if x != src and x != dst)
+        _reference_transfer(first, count - 1, pegs, src, spare, out, split)
+        out.append((first + count - 1, src, dst))
+        _reference_transfer(first, count - 1, pegs, spare, dst, out, split)
+        return
+    l = split(len(pegs), count)
+    parking = next(x for x in pegs if x != src and x != dst)
+    _reference_transfer(first, l, pegs, src, parking, out, split)
+    remaining = tuple(x for x in pegs if x != parking)
+    _reference_transfer(first + l, count - l, remaining, src, dst, out, split)
+    _reference_transfer(first, l, pegs, parking, dst, out, split)
+
+
+@pytest.mark.parametrize("q, most", [(3, 14), (4, 40), (5, 40), (6, 40), (7, 40), (8, 40)])
+def test_transfer_matches_the_recursive_reference(q, most):
+    split = cache(best_split)  # the same splits, each scanned once
+    pegs = tuple(range(q))
+    for first in (0, 3):
+        for count in range(most + 1):
+            for src, dst in permutations(pegs, 2):
+                reference = []
+                _reference_transfer(first, count, pegs, src, dst, reference, split)
+                moves = transfer_moves(first, count, pegs, src, dst)
+                assert moves == Moves(*zip(*reference)), (first, count, src, dst)
 
 
 def test_frame_stewart_path_past_the_search_limit():
@@ -294,3 +342,12 @@ def test_frame_stewart_path_rejects_bad_pegs():
         frame_stewart_path(2, (0, 1, 1), 0, 1)
     with pytest.raises(ValueError):
         frame_stewart_path(2, (0, 1, 2), 0, 3)
+    # labels the move arrays cannot hold: ValueError, not OverflowError
+    with pytest.raises(ValueError):
+        frame_stewart_path(2, (0, 1, 2**32), 0, 1)
+    with pytest.raises(ValueError):
+        transfer_moves(2**32, 2, (0, 1, 2), 0, 1)
+    with pytest.raises(ValueError):
+        transfer_moves(0, 2, (-1, 0, 1), 0, 1)
+    with pytest.raises(ValueError):
+        transfer_moves(0, -1, (0, 1, 2), 0, 1)
