@@ -2,10 +2,12 @@
 
 Configurations are ranked as integers (rank = sum of peg * p**disk) and
 searched with level-synchronous breadth-first sweeps over numpy arrays:
-frontiers are flat rank arrays, and each sweep's seen table holds one bool
-per state.  Results are deterministic functions of the inputs regardless
-of expansion order, because each sweep finishes a whole level before
-testing for termination.
+frontiers are flat rank arrays, and each sweep's seen table is a bool
+table indexed by rank, zero-filled lazily, so that only the pages of the
+ranks a sweep marks become resident (in 2 MiB units where numpy advises
+transparent huge pages).  Results are deterministic functions
+of the inputs regardless of expansion order, because each sweep finishes
+a whole level before testing for termination.
 
 Both searches take their moves from one rule: each unordered peg pair
 {x, y} has exactly one move, the smaller of its two top disks onto the
@@ -24,11 +26,18 @@ an outer sum.
 ``distance`` expands a level one peg pair at a time, dropping the
 neighbours its seen table holds (self-loops among them) and marking the
 rest at once.  Marking before the next pair keeps a pair's new states
-out of the others, and no pair repeats one, so a level needs no sort and
-no dedupe pass.  The sweeps stop at their first meeting, which is exact,
-so no table holds depths.  When v is u with its pegs relabeled by an
-involution sigma (exact_H's all-on-0 and all-on-(p-1) are), v's sweep
-is u's mirrored, so only u's runs, over one table.
+out of the others, and no pair repeats one, so a level over plain states
+needs no sort and no dedupe pass.  The sweeps stop at their first
+meeting, which is exact, so no table holds depths.  When v is u with its
+pegs relabeled by an involution sigma (exact_H's all-on-0 and
+all-on-(p-1) are), v's sweep is u's mirrored, so only u's runs, over one
+table.  When two or more pegs are empty at both ends, the sweeps hold
+one canonical configuration per class under relabelings of those pegs,
+up to (p - 2)! times fewer for exact_H: each neighbour is canonicalised
+through two per-call tables over the blocks of its rank, and since two
+states can reach one class, each level is sorted and deduplicated once.
+Frontiers, their temporaries and the written part of each seen table
+shrink with the number of classes.
 
 ``exact_gamma`` seeds its search with one configuration per
 peg-relabeling class (``_canonical_starts``), joins the half tables into
@@ -52,6 +61,8 @@ limits belong to the search alone, not to configurations or paths.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import os
 
 import numpy as np
@@ -218,8 +229,79 @@ def _mirror_tables(sigma: list[int], p: int, first: int, last: int) -> np.ndarra
     return table
 
 
+def _class_split(count: int, p: int, n: int) -> tuple[int, int, int]:
+    """(entries, high, states) of ``_class_tables`` for ``count`` pegs
+    empty at both ends: how many of the largest disks its high block
+    takes, how many appearance states that block can reach, and the
+    tables' int64 entries, 2 * p**high for the high block and
+    states * p**(n - high) for the low one.  With h high disks the states
+    reached are the sequences of at most min(h, count) distinct empty
+    pegs; high is the h with the fewest entries."""
+    reach = [sum(math.perm(count, k) for k in range(min(h, count) + 1)) for h in range(n + 1)]
+    return min((2 * p**h + reach[h] * p ** (n - h), h, reach[h]) for h in range(n + 1))
+
+
+def _class_tables(empty: list[int], p: int, n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Tables that map a rank to the canonical rank of its class under the
+    relabelings of the pegs ``empty`` (sorted), as (split, high_canon,
+    high_state, low_canon): for high, low = divmod(rank, split), the
+    canonical rank is high_canon[high] + low_canon[high_state[high] + low].
+
+    A configuration is canonical when, reading from the largest disk down,
+    the pegs of ``empty`` first appear in increasing order; relabeling
+    them by first appearance gives the one canonical member of a class.
+    The appearance state is the sequence of those pegs seen so far; states
+    are numbered shortest first, so the states a block of h disks can
+    reach come first.  The high block, the largest disks as many as
+    ``_class_split`` picks, has a table of its canonical digits times split
+    and one of its final state times split; the low block's table holds
+    its canonical digits per reachable state and low placement.  Both fold
+    the disks from the largest down, whose Horner order is rank order."""
+    states = [seq for k in range(len(empty) + 1) for seq in itertools.permutations(empty, k)]
+    index = {seq: i for i, seq in enumerate(states)}
+
+    def read(seq: tuple, peg: int) -> tuple[int, int]:  # (next state, canonical peg)
+        if peg not in empty:
+            return index[seq], peg
+        if peg in seq:
+            return index[seq], empty[seq.index(peg)]
+        return index[seq + (peg,)], empty[len(seq)]
+
+    moves = np.array([[read(seq, peg) for peg in range(p)] for seq in states], dtype=np.int64)
+    nexts, digits = moves[..., 0], moves[..., 1]
+    _, high, reach = _class_split(len(empty), p, n)
+
+    def fold(state: np.ndarray, disks: int) -> tuple[np.ndarray, np.ndarray]:
+        canon = np.zeros(state.size, dtype=np.int64)
+        for _ in range(disks):
+            canon = (canon[:, None] * p + digits[state]).ravel()
+            state = nexts[state].ravel()
+        return canon, state
+
+    split = p ** (n - high)
+    high_canon, high_state = fold(np.zeros(1, dtype=np.int64), high)
+    low_canon, _ = fold(np.arange(reach, dtype=np.int64), n - high)
+    return split, high_canon * split, high_state * split, low_canon
+
+
+def _canonical(ranks: np.ndarray, classes: tuple) -> np.ndarray:
+    """The canonical rank of each rank's class, from ``_class_tables``."""
+    split, high_canon, high_state, low_canon = classes
+    high, low = np.divmod(ranks, split)
+    out = high_state.take(high)
+    out += low
+    out = low_canon.take(out)
+    out += high_canon.take(high)
+    return out
+
+
 def _expand(
-    frontier: np.ndarray, halves: tuple, seen: np.ndarray, low: np.ndarray, high: np.ndarray
+    frontier: np.ndarray,
+    halves: tuple,
+    seen: np.ndarray,
+    low: np.ndarray,
+    high: np.ndarray,
+    classes: tuple | None = None,
 ) -> np.ndarray:
     """The states one move from ``frontier`` that ``seen`` has not seen,
     each once, marked in ``seen``.  ``halves`` is the frontier's (high,
@@ -227,7 +309,15 @@ def _expand(
     the low step table's entry, or the high one's where that is 0
     (``_join``).  No pair emits a state twice, and marking a pair's states
     before the next pair keeps them out of later pairs; self-loops land on
-    the frontier, which is seen."""
+    the frontier, which is seen.
+
+    With ``classes`` (``_class_tables``), ``seen`` holds canonical ranks
+    only, so a neighbour it holds belongs to a class already reached and
+    is dropped at once; each one left is replaced by its class's
+    canonical rank (``_canonical``) and tested again.  Two states of one
+    pair's batch can then reach one class, so the level is sorted and
+    each run of equal ranks kept once: it comes out sorted, each unseen
+    class once."""
     high_ranks, low_ranks = halves
     parts = []
     for low_row, high_row in zip(low, high):
@@ -236,10 +326,17 @@ def _expand(
         nbrs[rest] = high_row.take(high_ranks[rest])
         nbrs += frontier
         nbrs = nbrs[~seen[nbrs]]
+        if classes is not None:
+            nbrs = _canonical(nbrs, classes)
+            nbrs = nbrs[~seen[nbrs]]
         seen[nbrs] = True
         parts.append(nbrs)
     del halves, high_ranks, low_ranks  # before the concatenation copies the new level
-    return np.concatenate(parts)
+    level = np.concatenate(parts)
+    if classes is not None and level.size > 1:
+        level.sort()
+        level = level[np.concatenate(([True], level[1:] != level[:-1]))]
+    return level
 
 
 def _involution(u: tuple[int, ...], v: tuple[int, ...], p: int) -> list[int] | None:
@@ -271,6 +368,24 @@ def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
     k, sigma of u's, and meets it if any of those is seen (2k).  Each of
     u's levels is split into its halves once, for its images through the
     halves' sigma tables (``_mirror_tables``) and for its expansion.
+
+    Let E be the pegs that hold no disk in u or in v (pegs 1..p-2 for
+    exact_H).  When E has two pegs or more, both branches sweep one
+    canonical configuration per class of configurations equal up to
+    relabeling E (``_class_tables``, ``_canonical``):
+
+    - Every relabeling pi of E fixes u and v, and it maps legal moves to
+      legal moves, since a move's legality depends only on which disks
+      share a peg.  So d(u, s) = d(u, pi(s)) and d(v, s) = d(v, pi(s)):
+      a level is a union of classes, and a breadth-first search over the
+      classes, where a class's neighbours are the classes of its members'
+      neighbours, meets at depth d(u, v) by the argument above.
+    - Both endpoints are canonical, because no disk is on E.
+    - ``_involution`` leaves the pegs in neither endpoint where they are,
+      so sigma fixes E pointwise and maps the other pegs among themselves.
+      Each disk of sigma(s) is then on E exactly where it is in s, and on
+      the same peg of E, so sigma of a canonical state is canonical and
+      the images need no canonicalisation.
     """
     if (u.p, u.n) != (v.p, v.n):
         raise ValueError("configurations must share peg and disk counts")
@@ -285,12 +400,16 @@ def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
     sigma = _involution(u.pegs, v.pegs, p)
     mirrored = sigma is not None
     ends = [u] if mirrored else [u, v]
+    empty = sorted(set(range(p)) - set(u.pegs) - set(v.pegs))
     half = n // 2
     split = p**half
-    # bool seen tables; int64 steps per pair and half row, int64 mirror ranks
+    # bool seen tables; int64 steps per pair and half row, int64 mirror
+    # ranks; int64 class tables where two or more pegs are empty at both ends
     half_bytes = 8 * (p * (p - 1) // 2 + mirrored) * (split + p ** (n - half))
-    _check_memory(len(ends) * size + half_bytes, "distance search")
+    class_bytes = 8 * _class_split(len(empty), p, n)[0] if len(empty) >= 2 else 0
+    _check_memory(len(ends) * size + half_bytes + class_bytes, "distance search")
     (low,), (high,) = _move_tables(p, 0, half, False), _move_tables(p, half, n, False)
+    classes = _class_tables(empty, p, n) if len(empty) >= 2 else None
     seens = [np.zeros(size, dtype=bool) for _ in ends]
     frontiers = [np.array([end.rank()], dtype=np.int64) for end in ends]
     for seen, frontier in zip(seens, frontiers):
@@ -301,7 +420,7 @@ def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
         images = np.array([v.rank()], dtype=np.int64)  # sigma of u's previous level
         halves = np.divmod(frontiers[0], split)
         for depth in range(1, size):
-            frontiers[0] = _expand(frontiers[0], halves, seens[0], low, high)
+            frontiers[0] = _expand(frontiers[0], halves, seens[0], low, high, classes)
             if seens[0][images].any():
                 return 2 * depth - 1
             halves = np.divmod(frontiers[0], split)  # for the images and the next level
@@ -312,7 +431,7 @@ def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
         for depth in range(1, size):  # depth_u + depth_v: each step grows one
             side = 0 if frontiers[0].size <= frontiers[1].size else 1
             frontiers[side] = _expand(
-                frontiers[side], np.divmod(frontiers[side], split), seens[side], low, high
+                frontiers[side], np.divmod(frontiers[side], split), seens[side], low, high, classes
             )
             if seens[1 - side][frontiers[side]].any():
                 return depth

@@ -91,10 +91,16 @@ def _suite_phi(max_disks: int | None, cache: ResultCache) -> list[Case]:
 
 
 def _formula_vs_search(
-    kind: str, p: int, ns: range, formula: Callable[[int, int], int], cache: ResultCache
+    kind: str,
+    p: int,
+    ns: range,
+    formula: Callable[[int, int], int],
+    cache: ResultCache,
+    below: Literal["FAIL", "FINDING"] = "FAIL",
 ) -> list[Case]:
     """One case per n in ``ns``: the searched ``kind`` against ``formula(p, n)``,
-    SKIP where the search exceeds its cap."""
+    ``below`` where the search is below the formula, FAIL where it is above,
+    and SKIP where the search exceeds its cap."""
     cases = []
     for n in ns:
         name = f"{kind}({p},{n})"
@@ -104,7 +110,8 @@ def _formula_vs_search(
             cases.append(Case(name, "SKIP", str(exc)))
             continue
         wanted = formula(p, n)
-        cases.append(_case(name, measured == wanted, f"search={measured} formula={wanted}"))
+        status = "PASS" if measured == wanted else below if measured < wanted else "FAIL"
+        cases.append(Case(name, status, f"search={measured} formula={wanted}"))
     return cases
 
 
@@ -128,6 +135,21 @@ def _suite_main1(max_disks: int | None, cache: ResultCache) -> list[Case]:
 def _suite_bousch_h4(max_disks: int | None, cache: ResultCache) -> list[Case]:
     limit = max_disks if max_disks is not None else 10
     return _formula_vs_search("H", 4, range(1, limit + 1), frame_stewart.phi_closed, cache)
+
+
+def _suite_frame_stewart(max_disks: int | None, cache: ResultCache) -> list[Case]:
+    # Phi is an upper bound at every p, since the Frame-Stewart path takes
+    # Phi moves, so a search above it fails; it is proven exact for p <= 4
+    # only (Bousch at 4), so a search below it is a finding about the
+    # conjecture.  The default grid is the largest N per p under the
+    # default state cap.
+    limits = {5: 11, 6: 10, 7: 9}
+    cases = []
+    for p, limit in limits.items():
+        top = max_disks if max_disks is not None else limit
+        ns = range(1, top + 1)
+        cases += _formula_vs_search("H", p, ns, frame_stewart.phi_closed, cache, "FINDING")
+    return cases
 
 
 def _suite_conjecture5(max_disks: int | None, cache: ResultCache) -> list[Case]:
@@ -309,6 +331,7 @@ SUITES: dict[str, Callable[[int | None, ResultCache], list[Case]]] = {
     "szegedy": _suite_szegedy,
     "main1": _suite_main1,
     "bousch-h4": _suite_bousch_h4,
+    "frame-stewart": _suite_frame_stewart,
     "conjecture5": _suite_conjecture5,
     "lemmas": _suite_lemmas,
     "bounds-sandwich": _suite_bounds_sandwich,

@@ -107,3 +107,13 @@ def test_criterion_8_bounds_sandwich(cache):
     assert sum(detail.endswith("gamma=None") for detail in sandwiches) == 1
     assert len(cases) == len(sandwiches) + 2
     report(8, "lower bounds sit under search values, which sit under upper bounds")
+
+
+def test_criterion_9_frame_stewart_numbers(cache):
+    cases = run_suite("frame-stewart", cache)
+    limits = {5: 11, 6: 10, 7: 9}
+    assert list(cases) == [f"H({p},{n})" for p, top in limits.items() for n in range(1, top + 1)]
+    findings = [case for case in cases.values() if case.status == "FINDING"]
+    for finding in findings:
+        print(f"[acceptance] criterion 9 FINDING: {finding.name}: {finding.detail}")
+    report(9, f"exact H(p,N) against Phi for p = 5..7, {len(findings)} findings")

@@ -455,6 +455,35 @@ def test_verify_conjecture5_suite(capsys, cache_dir):
     assert "fail=0" in out
 
 
+def test_verify_frame_stewart_suite(capsys, cache_dir, monkeypatch):
+    # exact_H(p, N) against Phi for p = 5..7: a search below Phi is a
+    # finding, since Frame-Stewart is open from 5 pegs, one above it a
+    # failure, since Phi is an upper bound, and a search past the cap a SKIP
+    from hanoi_bounds import frame_stewart
+
+    code, out, _ = run(capsys, "verify", "--suite", "frame-stewart", "--max-disks", "4", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["ok"] is True
+    assert [case["case"] for case in data["cases"]] == [
+        f"H({p},{n})" for p in (5, 6, 7) for n in range(1, 5)
+    ]
+    assert data["counts"] == {"PASS": 12, "FAIL": 0, "FINDING": 0, "SKIP": 0}
+    monkeypatch.setenv("HANOI_STATE_CAP", str(6**4))
+    monkeypatch.setattr(frame_stewart, "phi_closed", lambda p, n: 10**9)
+    code, out, _ = run(capsys, "verify", "--suite", "frame-stewart", "--max-disks", "4", "--no-cache")
+    assert code == 0
+    # of the searches, only H(7, 4)'s 7**4 states exceed the cap
+    assert out.strip().splitlines()[-1] == (
+        "suite=frame-stewart total=12 pass=0 fail=0 finding=11 skip=1"
+    )
+    monkeypatch.setattr(frame_stewart, "phi_closed", lambda p, n: 0)
+    code, out, _ = run(capsys, "verify", "--suite", "frame-stewart", "--max-disks", "4", "--no-cache")
+    assert code == 1
+    assert out.strip().splitlines()[-1] == (
+        "suite=frame-stewart total=12 pass=0 fail=11 finding=0 skip=1"
+    )
+
+
 @pytest.mark.parametrize("suite, limit", [("main1", "-3"), ("phi", "-3"), ("lemmas", "0")])
 def test_verify_max_disks_below_one_is_usage_error(capsys, suite, limit):
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,6 @@
 import random
+from collections import deque
+from itertools import combinations, product
 
 import pytest
 
@@ -157,25 +159,49 @@ def test_distance_symmetric_on_samples():
         assert distance(u, v) == distance(v, u)
 
 
+def plain_bfs(u, v):
+    """Independent oracle: dictionary BFS over explicitly applied moves."""
+    seen = {u.pegs}
+    queue = deque([(u, 0)])
+    while queue:
+        c, d = queue.popleft()
+        if c.pegs == v.pegs:
+            return d
+        for m in legal_moves(c):
+            nxt = apply_move(c, m)
+            if nxt.pegs not in seen:
+                seen.add(nxt.pegs)
+                queue.append((nxt, d + 1))
+    raise AssertionError("unreachable")
+
+
+def random_involution(rng, pegs):
+    """A peg relabeling that swaps random disjoint pairs of ``pegs``."""
+    pegs = rng.sample(list(pegs), len(pegs))
+    sigma = {x: x for x in pegs}
+    for k in range(0, 2 * rng.randint(0, len(pegs) // 2), 2):
+        sigma[pegs[k]], sigma[pegs[k + 1]] = pegs[k + 1], pegs[k]
+    return sigma
+
+
+def canonical_rank(top_down, p, empty):
+    """The rank of the canonical member of a configuration's class under
+    relabelings of the sorted pegs ``empty``, the configuration given as its
+    pegs from the largest disk down: each peg of ``empty`` is renamed, in
+    order of first appearance, to the next of ``empty``."""
+    names = {}
+    rank = 0
+    for peg in top_down:
+        if peg in empty:
+            if peg not in names:
+                names[peg] = empty[len(names)]
+            peg = names[peg]
+        rank = rank * p + peg
+    return rank
+
+
 def test_distance_agrees_with_pure_python_bfs():
-    # independent oracle: dictionary BFS over explicitly applied moves
-    from collections import deque
-
     from hanoi_bounds.state_space import _involution
-
-    def plain_bfs(u, v):
-        seen = {u.pegs}
-        queue = deque([(u, 0)])
-        while queue:
-            c, d = queue.popleft()
-            if c.pegs == v.pegs:
-                return d
-            for m in legal_moves(c):
-                nxt = apply_move(c, m)
-                if nxt.pegs not in seen:
-                    seen.add(nxt.pegs)
-                    queue.append((nxt, d + 1))
-        raise AssertionError("unreachable")
 
     rng = random.Random(29)
     for _ in range(15):
@@ -209,6 +235,76 @@ def test_distance_agrees_with_pure_python_bfs():
         assert distance(u, v) == plain_bfs(u, v), (u, v)
     assert two_sided > 20
     # the mirrored search stops on an odd level meeting or an even one
+    assert mirrored_parities == {0, 1}
+
+
+def test_class_tables_match_a_pure_python_canonicaliser():
+    import numpy as np
+
+    from hanoi_bounds.state_space import _canonical, _class_split, _class_tables
+
+    # every rank, every set of at least two pegs that leaves a peg occupied
+    for p in range(4, 8):
+        for size in range(2, p):
+            for empty in combinations(range(p), size):
+                for n in range(6):
+                    classes = _class_tables(list(empty), p, n)
+                    got = _canonical(np.arange(p**n, dtype=np.int64), classes).tolist()
+                    want = [canonical_rank(c, p, empty) for c in product(range(p), repeat=n)]
+                    assert got == want, (p, empty, n)
+    # exact_H(8, 8): the split with the fewest entries takes 6 high disks,
+    # where the move tables' n // 2 split with all 1957 appearance states
+    # would take 2 * 8**4 + 1957 * 8**4 entries
+    entries = 2 * 8**6 + 1957 * 8**2
+    assert _class_split(6, 8, 8) == (entries, 6, 1957)
+    assert entries < 1959 * 8**4
+    empty = list(range(1, 7))
+    split, *tables = _class_tables(empty, 8, 8)
+    assert split == 8**2
+    assert sum(table.size for table in tables) == entries
+    rng = random.Random(73)
+    ranks = [rng.randrange(8**8) for _ in range(2000)]
+    got = _canonical(np.array(ranks, dtype=np.int64), (split, *tables)).tolist()
+    digits = [Configuration.from_rank(8, 8, r).pegs[::-1] for r in ranks]
+    assert got == [canonical_rank(c, 8, empty) for c in digits]
+
+
+def test_class_search_agrees_with_pure_python_bfs(monkeypatch):
+    # endpoints with at least two pegs empty at both ends search one
+    # configuration per class, mirrored or two-sided
+    from hanoi_bounds.state_space import _involution
+
+    built = []
+    class_tables = state_space._class_tables
+    monkeypatch.setattr(
+        state_space, "_class_tables", lambda *args: built.append(args) or class_tables(*args)
+    )
+    rng = random.Random(79)
+    two_sided = 0
+    mirrored_parities = set()
+    for _ in range(60):
+        p = rng.randint(4, 6)
+        n = rng.randint(1, 5)
+        empty = rng.sample(range(p), rng.randint(2, p - 1))
+        pool = [x for x in range(p) if x not in empty]
+        u = random_config(rng, p, n, pegs=pool)
+        sigma = random_involution(rng, pool)
+        mirrored = Configuration(p, tuple(sigma[x] for x in u.pegs))
+        assert _involution(u.pegs, mirrored.pegs, p) is not None
+        expected = plain_bfs(u, mirrored)
+        built.clear()
+        assert distance(u, mirrored) == expected, (u, mirrored)
+        if expected:
+            assert len(built) == 1, (u, mirrored)
+            mirrored_parities.add(expected % 2)
+        v = random_config(rng, p, n, pegs=pool)
+        expected = plain_bfs(u, v)
+        built.clear()
+        assert distance(u, v) == expected, (u, v)
+        if _involution(u.pegs, v.pegs, p) is None:
+            two_sided += 1
+            assert len(built) == 1, (u, v)
+    assert two_sided > 20
     assert mirrored_parities == {0, 1}
 
 
@@ -346,10 +442,17 @@ def test_adjacency_rows_match_legal_moves():
 
 def test_one_level_emits_every_unseen_neighbour_once():
     # repeats only cost time, so the differential tests cannot see them:
-    # both searches' level steps must emit each unseen successor exactly once
+    # both searches' level steps must emit each unseen successor exactly
+    # once, and distance's class step each unseen class exactly once
     import numpy as np
 
-    from hanoi_bounds.state_space import _expand, _expand_product, _join, _move_tables
+    from hanoi_bounds.state_space import (
+        _class_tables,
+        _expand,
+        _expand_product,
+        _join,
+        _move_tables,
+    )
 
     rng = random.Random(67)
     for _ in range(60):
@@ -372,6 +475,30 @@ def test_one_level_emits_every_unseen_neighbour_once():
         assert len(fresh) == len(set(fresh.tolist())), (p, n)
         assert set(fresh.tolist()) == expected, (p, n)
         assert set(np.flatnonzero(table).tolist()) == seen | expected
+        # distance over classes: the frontier and the seen states are
+        # canonical, and the step emits canonical ranks, sorted
+        if p >= 4:
+            empty = sorted(rng.sample(range(p), rng.randint(2, p - 1)))
+
+            def canonical(rank):
+                return canonical_rank(Configuration.from_rank(p, n, rank).pegs[::-1], p, empty)
+
+            classes = sorted({canonical(r) for r in range(size)})
+            frontier = rng.sample(classes, rng.randint(1, len(classes)))
+            seen = set(frontier) | set(rng.sample(classes, rng.randint(0, len(classes))))
+            table = np.zeros(size, dtype=bool)
+            table[sorted(seen)] = True
+            ranks = np.array(frontier, dtype=np.int64)
+            fresh = _expand(
+                ranks, np.divmod(ranks, p ** (n // 2)), table, low, high, _class_tables(empty, p, n)
+            )
+            expected = set()
+            for r in frontier:
+                c = Configuration.from_rank(p, n, r)
+                expected |= {canonical(apply_move(c, m).rank()) for m in legal_moves(c)}
+            expected -= seen
+            assert fresh.tolist() == sorted(expected), (p, n, empty)
+            assert set(np.flatnonzero(table).tolist()) == seen | expected
         # exact_gamma: random masks, so twins (mask, c) and (mask | bit, c)
         # share a frontier
         product = size << n
@@ -560,7 +687,8 @@ def test_memory_check_counts_the_tables_searched_and_the_cgroup_limit(monkeypatc
 
 def test_memory_check_counts_every_table_a_search_builds(monkeypatch):
     # the bytes _check_memory weighs must be the tables the search then
-    # builds: half move tables, mirror tables, the dense join, seen tables;
+    # builds: half move tables, mirror tables, class tables, the dense
+    # join, seen tables;
     # a builder's own folds are its temporaries, so only the tables an
     # outermost builder call returns count
     import numpy as np
@@ -600,16 +728,19 @@ def test_memory_check_counts_every_table_a_search_builds(monkeypatch):
                 built.append(table)
             return table
 
-    for name in ("_move_tables", "_mirror_tables", "_join"):
+    for name in ("_move_tables", "_mirror_tables", "_class_tables", "_join"):
         monkeypatch.setattr(state_space, name, recording(getattr(state_space, name)))
     monkeypatch.setattr(state_space, "np", SeenTables())
     # (search, tables built): distance builds two half step tables, with
     # one seen table and two mirror tables for exact_H's mirrored endpoints
-    # and two seen tables for an unrelated pair; exact_gamma builds four
-    # half tables (bits and steps per half), one seen table and two dense
+    # and two seen tables for an unrelated pair, and three class tables
+    # where at least two pegs are empty at both ends (not at one); exact_gamma
+    # builds four half tables (bits and steps per half), one seen table and
+    # two dense
     searches = (
-        (lambda: exact_H(5, 7), 5),
+        (lambda: exact_H(5, 7), 8),
         (lambda: distance(Configuration.all_on(4, 7, 0), Configuration(4, (1,) + (2,) * 6)), 4),
+        (lambda: distance(Configuration.all_on(5, 7, 0), Configuration(5, (1,) + (0,) * 6)), 7),
         (lambda: exact_gamma(4, 5), 7),
     )
     for search, tables in searches:
