@@ -77,6 +77,15 @@ def cmd_gamma(args: argparse.Namespace) -> int:
         print("match")
         return EXIT_OK
     if status == "conjectured":
+        # Gamma(p, n) is open here, but bounded: every disk moves, the dp
+        # bound is proven, and from n = p - 1 the formula is a proven upper bound
+        floor = max(n, bounds_mod.dp_lower_bound(p, n))
+        if measured < floor:
+            print(f"mismatch: exact search is below the proven lower bound {floor}", file=sys.stderr)
+            return EXIT_VERIFY_FAILED
+        if n >= p - 1 and measured > formula:
+            print(f"mismatch: exact search is above the proven upper bound {formula}", file=sys.stderr)
+            return EXIT_VERIFY_FAILED
         print("finding: conjectured value differs from the search result")
         return EXIT_OK
     print("mismatch: exact search contradicts a proven formula", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 Configurations are ranked as integers (rank = sum of peg * p**disk) and
 searched with level-synchronous breadth-first sweeps over numpy arrays:
-frontiers are flat rank arrays, and each sweep's seen table is a bool
-table indexed by rank, zero-filled lazily, so that only the pages of the
-ranks a sweep marks become resident (in 2 MiB units where numpy advises
+frontiers are flat arrays of ranks (or of ``exact_gamma``'s keys), and
+each sweep's seen table is a bool table indexed by them, zero-filled
+lazily, so that only the pages of the entries a sweep marks become
+resident (in 2 MiB units where numpy advises
 transparent huge pages).  Results are deterministic functions
 of the inputs regardless of expansion order, because each sweep finishes
 a whole level before testing for termination.
@@ -18,10 +19,13 @@ block of smaller disks and a block of larger ones; the rule, and why a
 pair's move undoes itself, are argued once, in its docstring.
 ``_move_tables`` folds ``_join`` over a block of disks.  A search reads a
 rank through the tables of its two halves, the n // 2 smallest disks and
-the rest (p**(n // 2) and p**(n - n // 2) columns): ``distance`` builds
-only their steps, and ``exact_gamma``'s dense table is their ``_join``.
-``_mirror_tables`` folds a peg relabeling over the disks the same way, as
-an outer sum.
+the rest (p**(n // 2) and p**(n - n // 2) columns), built once per call:
+``distance`` builds only their steps, and ``exact_gamma`` reads steps and
+bits once per class.  ``_mirror_tables`` folds a peg relabeling over the
+disks the same way, as an outer sum.  ``_class_tables`` canonicalises a
+rank under the relabelings of a group of pegs, once for both searches:
+the pegs empty at both ends of ``distance``, every peg for
+``exact_gamma``.
 
 ``distance`` expands a level one peg pair at a time, dropping the
 neighbours its seen table holds (self-loops among them) and marking the
@@ -39,19 +43,22 @@ states can reach one class, each level is sorted and deduplicated once.
 Frontiers, their temporaries and the written part of each seen table
 shrink with the number of classes.
 
-``exact_gamma`` seeds its search with one configuration per
-peg-relabeling class (``_canonical_starts``), joins the half tables into
-each peg pair's rank step and moved-disk bit over all states, then
-expands a level pair by pair over a bool seen table.  A pair leads two
-product states to one successor only as twins (mask, c) and
-(mask | bit, c), and twins fall on either side of the split between
-sources whose move sets no new bit and those whose move sets one; with
-the two sides expanded and marked in turn, no level needs a dedupe.
+``exact_gamma`` searches the graph of peg-relabeling classes: a state
+is a moved-disk mask and a class of configurations equal up to
+relabeling the pegs, keyed mask * K + i over the K canonical
+configurations (``_canonical_starts``).  The graph, each class's
+neighbour class and moved-disk bit per peg pair, is built once per call,
+so each class is canonicalised once, not once per visit.  A level is
+expanded pair by pair over a bool seen table of K * 2**n entries, about
+p! times fewer than configurations times masks, then sorted and
+deduplicated once, since two classes can reach one state.
 
-Caps bound the state counts a search may touch.  Exceeding a cap raises
-CapExceededError, never a silent truncation.  Defaults can be overridden
-per call or through HANOI_STATE_CAP / HANOI_PRODUCT_CAP; no cap exceeds
-2**62, so ranks stay inside int64.  A search whose tables would exceed
+Caps bound the state counts a search may touch: configurations for
+``distance``, (mask, class) states for ``exact_gamma``.  Exceeding a cap
+raises CapExceededError, never a silent truncation.  Defaults can be
+overridden per call or through HANOI_STATE_CAP / HANOI_PRODUCT_CAP; no
+cap exceeds 2**62, so ranks and keys stay inside int64 (``exact_gamma``
+argues why for its ranks).  A search whose tables would exceed
 the machine's physical memory or its cgroup's memory limit raises
 CapExceededError as well, before it allocates them.  Searches also
 refuse more than MAX_PEGS pegs or MAX_DISKS disks with ValueError; those
@@ -61,7 +68,6 @@ limits belong to the search alone, not to configurations or paths.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 
@@ -241,6 +247,47 @@ def _class_split(count: int, p: int, n: int) -> tuple[int, int, int]:
     return min((2 * p**h + reach[h] * p ** (n - h), h, reach[h]) for h in range(n + 1))
 
 
+def _appearance_moves(empty: list[int], p: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nexts, digits) of ``_class_tables``' appearance states of at most
+    ``length`` pegs, int64 of shape (states, p): reading a disk on peg x
+    in state s leads to state nexts[s, x] and gives the disk the canonical
+    peg digits[s, x].  A peg outside ``empty`` keeps its label and the
+    state; a peg already in the sequence takes the label of its place in
+    it; a new peg takes the next label and extends the sequence.
+
+    The sequences are built one length at a time, each as the place of
+    every peg of ``empty`` in it (-1 where absent): those of length k + 1,
+    in ``itertools.permutations`` order, are those of length k in order,
+    each followed by its absent pegs in increasing order.  So s, of length
+    k, extended by its r-th absent peg is state start(k + 1) + (|empty| -
+    k) * (s - start(k)) + r, whether or not those are built."""
+    size = len(empty)
+    pegs = np.array(empty, dtype=np.int64)
+    block = np.full((1, size), -1, dtype=np.int64)
+    blocks = [block]
+    for k in range(length):
+        rows, new = np.nonzero(block < 0)
+        block = block[rows]
+        block[np.arange(rows.size), new] = k
+        blocks.append(block)
+    place = np.concatenate(blocks)
+    counts = [len(block) for block in blocks]
+    starts = np.cumsum([0] + counts)
+    lengths = np.repeat(np.arange(length + 1), counts)
+    own = np.arange(len(place), dtype=np.int64)
+    seen = place >= 0
+    first = starts[lengths + 1] + (size - lengths) * (own - starts[lengths])  # first extension
+    grown = np.cumsum(~seen, axis=1)
+    grown += (first - 1)[:, None]
+    nexts = np.empty((len(place), p), dtype=np.int64)
+    nexts[:] = own[:, None]
+    nexts[:, pegs] = np.where(seen, own[:, None], grown)
+    digits = np.empty((len(place), p), dtype=np.int64)
+    digits[:] = np.arange(p)
+    digits[:, pegs] = np.where(seen, pegs[place], pegs[np.minimum(lengths, size - 1)][:, None])
+    return nexts, digits
+
+
 def _class_tables(empty: list[int], p: int, n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Tables that map a rank to the canonical rank of its class under the
     relabelings of the pegs ``empty`` (sorted), as (split, high_canon,
@@ -252,23 +299,14 @@ def _class_tables(empty: list[int], p: int, n: int) -> tuple[int, np.ndarray, np
     them by first appearance gives the one canonical member of a class.
     The appearance state is the sequence of those pegs seen so far; states
     are numbered shortest first, so the states a block of h disks can
-    reach come first.  The high block, the largest disks as many as
-    ``_class_split`` picks, has a table of its canonical digits times split
-    and one of its final state times split; the low block's table holds
-    its canonical digits per reachable state and low placement.  Both fold
-    the disks from the largest down, whose Horner order is rank order."""
-    states = [seq for k in range(len(empty) + 1) for seq in itertools.permutations(empty, k)]
-    index = {seq: i for i, seq in enumerate(states)}
-
-    def read(seq: tuple, peg: int) -> tuple[int, int]:  # (next state, canonical peg)
-        if peg not in empty:
-            return index[seq], peg
-        if peg in seq:
-            return index[seq], empty[seq.index(peg)]
-        return index[seq + (peg,)], empty[len(seq)]
-
-    moves = np.array([[read(seq, peg) for peg in range(p)] for seq in states], dtype=np.int64)
-    nexts, digits = moves[..., 0], moves[..., 1]
+    reach come first.  A fold over n disks reads the states of fewer than
+    n pegs only, so only those are built (``_appearance_moves``).  The
+    high block, the largest disks as many as ``_class_split`` picks, has
+    a table of its canonical digits times split and one of its final
+    state times split; the low block's table holds its canonical digits
+    per reachable state and low placement.  Both fold the disks from the
+    largest down, whose Horner order is rank order."""
+    nexts, digits = _appearance_moves(empty, p, min(max(n - 1, 0), len(empty)))
     _, high, reach = _class_split(len(empty), p, n)
 
     def fold(state: np.ndarray, disks: int) -> tuple[np.ndarray, np.ndarray]:
@@ -293,6 +331,16 @@ def _canonical(ranks: np.ndarray, classes: tuple) -> np.ndarray:
     out = low_canon.take(out)
     out += high_canon.take(high)
     return out
+
+
+def _sorted_once(level: np.ndarray) -> np.ndarray:
+    """``level`` sorted, each run of equal entries kept once: a sort and
+    one comparison of neighbours, not ``np.unique``, whose hash path is
+    slower on numpy 2.4."""
+    if level.size > 1:
+        level.sort()
+        level = level[np.concatenate(([True], level[1:] != level[:-1]))]
+    return level
 
 
 def _expand(
@@ -333,10 +381,7 @@ def _expand(
         parts.append(nbrs)
     del halves, high_ranks, low_ranks  # before the concatenation copies the new level
     level = np.concatenate(parts)
-    if classes is not None and level.size > 1:
-        level.sort()
-        level = level[np.concatenate(([True], level[1:] != level[:-1]))]
-    return level
+    return level if classes is None else _sorted_once(level)
 
 
 def _involution(u: tuple[int, ...], v: tuple[int, ...], p: int) -> list[int] | None:
@@ -448,30 +493,6 @@ def exact_H(p: int, n: int, cap: int | None = None) -> int:
     )
 
 
-def _expand_product(
-    frontier: np.ndarray, seen: np.ndarray, steps: np.ndarray, bits: np.ndarray, size: int
-) -> np.ndarray:
-    """The product states one move from ``frontier`` that ``seen`` has not
-    seen, each once, marked in ``seen``: per pair, the sources whose move
-    sets no new bit (self-loops among them) and those whose move sets one
-    are expanded and marked in turn, so only one of two twins emits."""
-    mask, cfg = np.divmod(frontier, size)
-    unset = ~mask
-    parts = []
-    for step_row, bit_row in zip(steps, bits):
-        nbrs = bit_row.take(cfg)
-        nbrs &= unset  # the bit the move sets, 0 where it sets none
-        sets = nbrs != 0
-        nbrs *= size
-        nbrs += frontier
-        nbrs += step_row.take(cfg)
-        for group in (nbrs[~sets], nbrs[sets]):
-            group = group[~seen[group]]
-            seen[group] = True
-            parts.append(group)
-    return np.concatenate(parts)
-
-
 def _canonical_starts(p: int, n: int) -> np.ndarray:
     """The sorted ranks of the canonical configurations: those whose pegs,
     read from the largest disk down, are numbered by first appearance
@@ -493,52 +514,129 @@ def _canonical_starts(p: int, n: int) -> np.ndarray:
     return ranks
 
 
+def _class_count(p: int, n: int) -> int:
+    """K, the number of configurations of n disks on p pegs up to
+    relabeling the pegs: the set partitions of the disks into at most p
+    blocks, the sum of the Stirling numbers S(n, k) for k <= p, in Python
+    ints, so it sizes a search before anything is allocated."""
+    counts = [1] + [0] * p  # S(0, k) for k <= p
+    for _ in range(n):
+        counts = [0] + [k * counts[k] + counts[k - 1] for k in range(1, p + 1)]
+    return sum(counts)
+
+
+def _class_graph(
+    starts: np.ndarray, low: tuple, high: tuple, classes: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """The class graph as int64 (nbrs, bits) of shape (pairs, K): for the
+    class whose canonical rank is starts[i] (``_canonical_starts``), row k
+    holds the position in ``starts`` of its neighbour's class through peg
+    pair k and the bit of the disk that moves, 0 (and the class itself)
+    where the pair moves nothing.  Each pair's move is read through the
+    half move tables ``low`` and ``high`` as ``_expand`` reads it, its
+    target canonicalised through ``classes`` (``_class_tables`` over every
+    peg) and located by one ``np.searchsorted`` over the sorted starts."""
+    (low_bits, low_steps), (high_bits, high_steps) = low, high
+    high_ranks, low_ranks = np.divmod(starts, low_steps.shape[1])
+    own = low_steps[:, low_ranks] != 0  # the low half moves a disk
+    bits = np.where(own, low_bits[:, low_ranks], high_bits[:, high_ranks])
+    steps = np.where(own, low_steps[:, low_ranks], high_steps[:, high_ranks])
+    del own
+    steps += starts
+    return np.searchsorted(starts, _canonical(steps.ravel(), classes)).reshape(steps.shape), bits
+
+
+def _expand_classes(
+    frontier: np.ndarray, seen: np.ndarray, nbrs: np.ndarray, bits: np.ndarray, count: int
+) -> np.ndarray:
+    """The (mask, class) keys one move from ``frontier`` that ``seen`` has
+    not seen, each once and sorted, marked in ``seen``.  A key is mask *
+    count + i, and pair k leads it to (bits[k][i] | mask) * count +
+    nbrs[k][i]; self-loops land on the frontier, which is seen.  Two
+    classes can reach one key through one pair, so after each pair's
+    unseen keys are marked, the level is sorted and each run of equal keys
+    kept once (``_sorted_once``)."""
+    mask, index = np.divmod(frontier, count)
+    parts = []
+    for nbr_row, bit_row in zip(nbrs, bits):
+        keys = bit_row.take(index)
+        keys |= mask
+        keys *= count
+        keys += nbr_row.take(index)
+        keys = keys[~seen[keys]]
+        seen[keys] = True
+        parts.append(keys)
+    del mask, index  # before the concatenation copies the new level
+    return _sorted_once(np.concatenate(parts))
+
+
 def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
     """Exact minimum length of a move sequence that moves every disk at
     least once, over all starting configurations.
 
-    Multi-source BFS over (configuration, moved-mask) product states with
-    rank mask * p**n + configuration rank.  The canonical configurations
-    (``_canonical_starts``) start at distance 0 with mask 0; each edge sets
-    the moved disk's bit; the answer is the first level containing a full
-    mask.  Masks only grow along edges, so plain BFS is level-exact.
+    Breadth-first search over the class graph (``_class_graph``): a state
+    is a moved-disk mask and a class of configurations equal up to
+    relabeling the pegs, keyed mask * K + i, where i is the position of
+    the class's canonical configuration in ``_canonical_starts`` and K
+    (``_class_count``) the number of classes.  Level 0 is every class at
+    mask 0; each edge sets the moved disk's bit; the answer is the first
+    level holding a full mask, whose last key, the level being sorted, is
+    then at least (2**n - 1) * K.  It is exact:
 
-    One start per peg-relabeling class suffices.  Relabeling the pegs maps
-    legal moves to legal moves of the same disks, so a relabeled start has
-    essential paths of the same lengths, and the minimum over one start
-    per class is the minimum over all starts.  The starts left out change
-    no later level either: every move sets a bit, so mask 0 occurs only at
-    depth 0, and the whole mask-0 band is marked seen at once.
+    - A relabeling pi of the pegs maps legal moves to legal moves of the
+      same disk, since a move's legality depends only on which disks
+      share a peg.  So (mask, c) and (mask, pi(c)) need equally many
+      moves to reach the full mask, and the minimum over every start is
+      the minimum over one start per class.
+    - The neighbours of pi(c) are pi applied to the neighbours of c,
+      through the relabeled pair, with the same moved disk.  So the rows
+      of one representative give the neighbour classes, and bits, of the
+      whole class, and each level of the search over every (mask,
+      configuration) state, which starts from every configuration, is a
+      union of classes: level k here holds exactly its classes.
+    - Masks only grow along edges, so the search is level-exact, and
+      mask 0 occurs only at depth 0.
 
-    Successors come from one step and one bit table per call, each peg
-    pair's over every state (``_join`` of the half tables), and a bool
-    table marks the product states seen.
-    ``_expand_product`` expands a level one peg pair at a time and emits
-    each unseen successor once, so no level is sorted or deduplicated.
+    The seen table has K * 2**n entries, about p! times fewer than
+    configurations times masks, and each class is canonicalised once per
+    call, when the graph is built.  ``cap`` (else HANOI_PRODUCT_CAP)
+    bounds K * 2**n, computed before anything is allocated.  Keys stay
+    below K * 2**n <= 2**62, and ranks inside int64 too: a class has at
+    most p! members, so p**n <= p! * K, below K * 2**n where n >= 16 since
+    p! <= 8! < 2**16, and p**n <= 8**15 = 2**45 where n <= 15.
     """
     _check_limits(p, n)
     if n == 0:
         return 0
-    size = p**n
-    product = size << n
+    count = _class_count(p, n)
+    states = count << n
     cap_value = _cap(cap, "HANOI_PRODUCT_CAP", DEFAULT_PRODUCT_CAP)
-    if product > cap_value:
+    if states > cap_value:
         raise CapExceededError(
-            f"essential-path search over {product} product states exceeds the cap {cap_value}"
+            f"essential-path search over {states} (mask, class) states exceeds the cap {cap_value}"
         )
     half = n // 2
-    # two int64 tables, one row per peg pair, over every state and over each half row
-    adjacency_bytes = 2 * (size + p**half + p ** (n - half)) * (p * (p - 1) // 2) * 8
-    _check_memory(product + adjacency_bytes, "essential-path search")
-    bits, steps = _join(_move_tables(p, 0, half), _move_tables(p, half, n))
-    seen = np.zeros(product, dtype=bool)
-    seen[:size] = True
-    frontier = _canonical_starts(p, n)
+    pairs = p * (p - 1) // 2
+    # bool seen table; int64 class graph (two rows per pair) and starts;
+    # int64 half tables (bits and steps per pair); int64 class tables
+    graph_bytes = 8 * (2 * pairs + 1) * count
+    half_bytes = 8 * 2 * pairs * (p**half + p ** (n - half))
+    class_bytes = 8 * _class_split(p, p, n)[0]
+    _check_memory(states + graph_bytes + half_bytes + class_bytes, "essential-path search")
+    starts = _canonical_starts(p, n)
+    nbrs, bits = _class_graph(
+        starts, _move_tables(p, 0, half), _move_tables(p, half, n), _class_tables(list(range(p)), p, n)
+    )
+    del starts
+    seen = np.zeros(states, dtype=bool)
+    seen[:count] = True
+    frontier = np.arange(count, dtype=np.int64)
+    full = ((1 << n) - 1) * count
     depth = 0
     while frontier.size:
-        frontier = _expand_product(frontier, seen, steps, bits, size)
+        frontier = _expand_classes(frontier, seen, nbrs, bits, count)
         depth += 1
-        if seen[((1 << n) - 1) * size :].any():  # the top band holds the full masks
+        if frontier.size and frontier[-1] >= full:
             return depth
     raise RuntimeError("search exhausted without moving every disk; this cannot happen")
 

@@ -152,8 +152,33 @@ def test_gamma_exact_cap_exit_code(capsys, monkeypatch, cache_dir):
     assert "cap" in err.lower()
 
 
+def test_gamma_exact_contradicting_a_theorem_exits_1(capsys, cache_dir):
+    # Gamma(5, N) is open, but a value below max(N, dp) or, from N = p - 1,
+    # above the formula contradicts a theorem, as a faulty engine's would;
+    # poisoned cache entries stand in for such an engine
+    def gamma_exact(n, value):
+        entries = {f"gamma:p5:n{n}:e{ENGINE_VERSION}": value}
+        (cache_dir / "results.json").write_text(json.dumps({"engine": ENGINE_VERSION, "entries": entries}))
+        return run(capsys, "gamma", "--pegs", "5", "--disks", str(n), "--exact")
+
+    code, out, err = gamma_exact(6, 3)  # max(6, dp) = 6
+    assert code == 1
+    assert "exact   3" in out
+    assert "below the proven lower bound 6" in err
+    code, _, err = gamma_exact(6, 7)  # the formula gives 6
+    assert code == 1
+    assert "above the proven upper bound 6" in err
+    # at N = 12 the bounds are 12 and 14: a value between them is a finding
+    for value in (12, 13):
+        code, out, err = gamma_exact(12, value)
+        assert code == 0
+        assert "finding: conjectured value differs" in out
+        assert not err
+    assert gamma_exact(12, 11)[0] == gamma_exact(12, 15)[0] == 1
+
+
 def test_gamma_exact_beyond_physical_memory_exit_code(capsys, cache_dir):
-    # a cap of 2**62 allows the 10 TB table; the byte count refuses it
+    # a cap of 2**62 allows the 86 GB seen table; the byte count refuses it
     code, _, err = run(
         capsys, "gamma", "--pegs", "5", "--disks", "13", "--exact", "--no-cache",
         "--product-cap", str(2**62),

@@ -1,6 +1,6 @@
 import random
 from collections import deque
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -269,6 +269,62 @@ def test_class_tables_match_a_pure_python_canonicaliser():
     assert got == [canonical_rank(c, 8, empty) for c in digits]
 
 
+def python_class_tables(empty, p, n):
+    """``_class_tables`` built with a Python loop over the appearance
+    states, one ``read`` per state and peg: the reference for the
+    vectorized builder.  States are numbered shortest first, so building
+    those of at most min(n, |empty|) pegs numbers them as building every
+    one would."""
+    import numpy as np
+
+    from hanoi_bounds.state_space import _class_split
+
+    states = [seq for k in range(min(n, len(empty)) + 1) for seq in permutations(empty, k)]
+    index = {seq: i for i, seq in enumerate(states)}
+
+    def read(seq, peg):  # (next state, canonical peg)
+        if peg not in empty:
+            return index[seq], peg
+        if peg in seq:
+            return index[seq], empty[seq.index(peg)]
+        return index.get(seq + (peg,), 0), empty[len(seq)]  # the longest read no further disk
+
+    moves = np.array([[read(seq, peg) for peg in range(p)] for seq in states], dtype=np.int64)
+    nexts, digits = moves[..., 0], moves[..., 1]
+    _, high, reach = _class_split(len(empty), p, n)
+
+    def fold(state, disks):
+        canon = np.zeros(state.size, dtype=np.int64)
+        for _ in range(disks):
+            canon = (canon[:, None] * p + digits[state]).ravel()
+            state = nexts[state].ravel()
+        return canon, state
+
+    split = p ** (n - high)
+    high_canon, high_state = fold(np.zeros(1, dtype=np.int64), high)
+    low_canon, _ = fold(np.arange(reach, dtype=np.int64), n - high)
+    return split, high_canon * split, high_state * split, low_canon
+
+
+def test_vectorized_class_tables_equal_the_python_builder():
+    # byte for byte, so distance's canonical ranks cannot move: every set
+    # of at least two pegs, all of them included (exact_gamma's tables)
+    import numpy as np
+
+    from hanoi_bounds.state_space import _class_tables
+
+    for p in range(3, 9):
+        for n in range(7 if p < 7 else 5):
+            for size in range(2, p + 1):
+                for empty in combinations(range(p), size):
+                    split, *tables = _class_tables(list(empty), p, n)
+                    want_split, *want = python_class_tables(list(empty), p, n)
+                    assert split == want_split, (p, n, empty)
+                    for got, expected in zip(tables, want):
+                        assert got.dtype == expected.dtype == np.int64, (p, n, empty)
+                        assert np.array_equal(got, expected), (p, n, empty)
+
+
 def test_class_search_agrees_with_pure_python_bfs(monkeypatch):
     # endpoints with at least two pegs empty at both ends search one
     # configuration per class, mirrored or two-sided
@@ -416,43 +472,56 @@ def test_pair_moves_undo_themselves():
                 assert np.array_equal(back_bits[k], bits[k]), (p, n, k)
 
 
+def class_graph(p, n):
+    """exact_gamma's canonical starts and class graph (nbrs, bits)."""
+    from hanoi_bounds.state_space import (
+        _canonical_starts,
+        _class_graph,
+        _class_tables,
+        _move_tables,
+    )
+
+    starts = _canonical_starts(p, n)
+    halves = _move_tables(p, 0, n // 2), _move_tables(p, n // 2, n)
+    return (starts, *_class_graph(starts, *halves, _class_tables(list(range(p)), p, n)))
+
+
+def class_index(p, starts):
+    """The position in ``starts`` of a configuration's class."""
+    index = {rank: i for i, rank in enumerate(starts.tolist())}
+    return lambda c: index[canonical_rank(c.pegs[::-1], p, list(range(p)))]
+
+
 def test_adjacency_rows_match_legal_moves():
-    # exact_gamma's dense table: the join of the two half tables
+    # exact_gamma's class graph: row k of class i is peg pair k's move from
+    # the class's canonical configuration, its target's class and the
+    # moved disk's bit, or the class itself and 0 where the pair moves
+    # nothing
     import numpy as np
 
-    from hanoi_bounds.state_space import _join, _move_tables
-
-    rng = random.Random(53)
-    for p, n in ((3, 1), (3, 5), (4, 4), (5, 3), (6, 3), (8, 2)):
-        bits, steps = _join(_move_tables(p, 0, n // 2), _move_tables(p, n // 2, n))
-        assert steps.shape == bits.shape == (p * (p - 1) // 2, p**n)
-        for _ in range(15):
-            c = random_config(rng, p, n)
-            # row k is pair k: the neighbour is c + step, the moved disk's bit
-            column = sorted(
-                (c.rank() + int(step), int(bit))
-                for step, bit in zip(steps[:, c.rank()], bits[:, c.rank()])
-            )
-            moves = sorted((apply_move(c, m).rank(), 1 << m.disk) for m in legal_moves(c))
-            padding = [(c.rank(), 0)] * (steps.shape[0] - len(moves))
-            assert column == sorted(moves + padding)
-        # a slot moves nothing exactly when its step and its bit are 0
-        assert np.array_equal(bits == 0, steps == 0)
+    cases = [(p, n) for p in range(3, 7) for n in range(6)] + [(8, n) for n in range(4)]
+    for p, n in cases:
+        starts, nbrs, bits = class_graph(p, n)
+        pairs = list(combinations(range(p), 2))
+        assert nbrs.shape == bits.shape == (len(pairs), starts.size)
+        assert nbrs.dtype == bits.dtype == np.int64
+        index = class_index(p, starts)
+        for i, rank in enumerate(starts.tolist()):
+            c = Configuration.from_rank(p, n, rank)
+            moves = {frozenset((m.src, m.dst)): m for m in legal_moves(c)}
+            for k, pair in enumerate(pairs):
+                m = moves.get(frozenset(pair))
+                want = (i, 0) if m is None else (index(apply_move(c, m)), 1 << m.disk)
+                assert (nbrs[k, i], bits[k, i]) == want, (p, n, rank, pair)
 
 
 def test_one_level_emits_every_unseen_neighbour_once():
     # repeats only cost time, so the differential tests cannot see them:
-    # both searches' level steps must emit each unseen successor exactly
-    # once, and distance's class step each unseen class exactly once
+    # distance's level step must emit each unseen successor exactly once,
+    # and both class steps each unseen class exactly once, sorted
     import numpy as np
 
-    from hanoi_bounds.state_space import (
-        _class_tables,
-        _expand,
-        _expand_product,
-        _join,
-        _move_tables,
-    )
+    from hanoi_bounds.state_space import _class_tables, _expand, _expand_classes, _move_tables
 
     rng = random.Random(67)
     for _ in range(60):
@@ -499,24 +568,25 @@ def test_one_level_emits_every_unseen_neighbour_once():
             expected -= seen
             assert fresh.tolist() == sorted(expected), (p, n, empty)
             assert set(np.flatnonzero(table).tolist()) == seen | expected
-        # exact_gamma: random masks, so twins (mask, c) and (mask | bit, c)
-        # share a frontier
-        product = size << n
-        frontier = rng.sample(range(product), rng.randint(1, product))
-        seen = set(frontier) | set(rng.sample(range(product), rng.randint(0, product)))
-        table = np.zeros(product, dtype=bool)
+        # exact_gamma: random (mask, class) frontiers and seen sets; keys are
+        # mask * K + the class's position among the canonical starts
+        starts, nbrs, bits = class_graph(p, n)
+        count = starts.size
+        keys = count << n
+        frontier = rng.sample(range(keys), rng.randint(1, keys))
+        seen = set(frontier) | set(rng.sample(range(keys), rng.randint(0, keys)))
+        table = np.zeros(keys, dtype=bool)
         table[sorted(seen)] = True
-        bits, steps = _join(_move_tables(p, 0, n // 2), _move_tables(p, n // 2, n))
-        fresh = _expand_product(np.array(frontier, dtype=np.int64), table, steps, bits, size)
+        fresh = _expand_classes(np.array(frontier, dtype=np.int64), table, nbrs, bits, count)
+        index = class_index(p, starts)
         expected = set()
-        for state in frontier:
-            mask, r = divmod(state, size)
-            c = Configuration.from_rank(p, n, r)
+        for key in frontier:
+            mask, i = divmod(key, count)
+            c = Configuration.from_rank(p, n, int(starts[i]))
             for m in legal_moves(c):
-                expected.add((mask | 1 << m.disk) * size + apply_move(c, m).rank())
+                expected.add((mask | 1 << m.disk) * count + index(apply_move(c, m)))
         expected -= seen
-        assert len(fresh) == len(set(fresh.tolist())), (p, n)
-        assert set(fresh.tolist()) == expected, (p, n)
+        assert fresh.tolist() == sorted(expected), (p, n)
         assert set(np.flatnonzero(table).tolist()) == seen | expected
 
 
@@ -620,6 +690,50 @@ def test_exact_gamma_agrees_with_pure_python_product_bfs():
     assert plain_gamma(3, 4) == 5
 
 
+def test_class_search_levels_match_a_pure_python_bfs(monkeypatch):
+    # the level sizes, not just the answer: a dictionary BFS over (mask,
+    # canonical configuration) pairs from every configuration at mask 0,
+    # each neighbour replaced by its class's canonical member
+    sizes = []
+    expand = state_space._expand_classes
+
+    def recording(*args):
+        level = expand(*args)
+        sizes.append(level.size)
+        return level
+
+    monkeypatch.setattr(state_space, "_expand_classes", recording)
+
+    def python_levels(p, n):
+        def canonical(pegs):
+            return canonical_rank(pegs[::-1], p, list(range(p)))
+
+        full = (1 << n) - 1
+        level = {(0, canonical(pegs)) for pegs in product(range(p), repeat=n)}
+        seen, levels = set(level), [len(level)]
+        while all(mask != full for mask, _ in level):
+            fresh = set()
+            for mask, rank in level:
+                c = Configuration.from_rank(p, n, rank)
+                for m in legal_moves(c):
+                    key = (mask | 1 << m.disk, canonical(apply_move(c, m).pegs))
+                    if key not in seen:
+                        seen.add(key)
+                        fresh.add(key)
+            level = fresh
+            levels.append(len(level))
+        return levels
+
+    cases = [(3, n) for n in range(1, 8)] + [(4, n) for n in range(1, 7)]
+    cases += [(5, n) for n in range(1, 6)] + [(6, n) for n in range(1, 5)]
+    for p, n in cases:
+        sizes.clear()
+        depth = exact_gamma(p, n)
+        levels = python_levels(p, n)
+        assert [state_space._class_count(p, n)] + sizes == levels, (p, n)
+        assert depth == len(levels) - 1, (p, n)
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_exact_gamma_three_pegs_closed_form(n):
     # Gamma(3, n) = 2**(n-2) + 1; n = 10 is 257 levels, past any uint8 counter
@@ -642,9 +756,18 @@ def test_exact_gamma_cap():
         exact_gamma(4, 6, cap=100)
 
 
+def test_exact_gamma_five_pegs_nine_disks_under_the_default_cap(monkeypatch):
+    # 18,002 classes times 2**9 masks, where the product search needed
+    # 5**9 * 2**9 states, past the default cap of 2**28
+    monkeypatch.delenv("HANOI_PRODUCT_CAP", raising=False)
+    assert state_space._class_count(5, 9) << 9 <= state_space.DEFAULT_PRODUCT_CAP < 5**9 << 9
+    assert exact_gamma(5, 9) == 9
+
+
 def test_caps_above_two_to_the_62_are_clamped():
-    # 8**22 states and 8**20 * 2**20 product states do not fit int64 ranks;
-    # the refusal must come before any table is sized or allocated
+    # 8**22 states do not fit int64 ranks, and the (mask, class) states of
+    # (8, 20) number about 2**64.8; the refusal must come before any table
+    # is sized or allocated
     with pytest.raises(CapExceededError):
         exact_H(8, 22, cap=2**70)
     with pytest.raises(CapExceededError):
@@ -665,8 +788,9 @@ def test_caps_below_one_are_usage_errors(monkeypatch):
 
 
 def test_tables_larger_than_physical_memory_are_refused():
-    # about 10 TB of product table and 550 GB of distance tables: legal under
-    # the cap, refused from the byte count before anything is allocated
+    # about 86 GB of (mask, class) seen table and 550 GB of distance tables:
+    # legal under the cap, refused from the byte count before anything is
+    # allocated
     with pytest.raises(CapExceededError, match="physical memory"):
         exact_gamma(5, 13, cap=2**62)
     with pytest.raises(CapExceededError, match="physical memory"):
@@ -687,8 +811,8 @@ def test_memory_check_counts_the_tables_searched_and_the_cgroup_limit(monkeypatc
 
 def test_memory_check_counts_every_table_a_search_builds(monkeypatch):
     # the bytes _check_memory weighs must be the tables the search then
-    # builds: half move tables, mirror tables, class tables, the dense
-    # join, seen tables;
+    # builds: half move tables, mirror tables, class tables, canonical
+    # starts, the class graph, seen tables;
     # a builder's own folds are its temporaries, so only the tables an
     # outermost builder call returns count
     import numpy as np
@@ -728,20 +852,22 @@ def test_memory_check_counts_every_table_a_search_builds(monkeypatch):
                 built.append(table)
             return table
 
-    for name in ("_move_tables", "_mirror_tables", "_class_tables", "_join"):
+    for name in ("_move_tables", "_mirror_tables", "_class_tables", "_canonical_starts", "_class_graph"):
         monkeypatch.setattr(state_space, name, recording(getattr(state_space, name)))
     monkeypatch.setattr(state_space, "np", SeenTables())
     # (search, tables built): distance builds two half step tables, with
     # one seen table and two mirror tables for exact_H's mirrored endpoints
     # and two seen tables for an unrelated pair, and three class tables
     # where at least two pegs are empty at both ends (not at one); exact_gamma
-    # builds four half tables (bits and steps per half), one seen table and
-    # two dense
+    # builds four half tables (bits and steps per half), three class tables
+    # over every peg, the canonical starts, the two rows of the class graph
+    # and one seen table
     searches = (
         (lambda: exact_H(5, 7), 8),
         (lambda: distance(Configuration.all_on(4, 7, 0), Configuration(4, (1,) + (2,) * 6)), 4),
         (lambda: distance(Configuration.all_on(5, 7, 0), Configuration(5, (1,) + (0,) * 6)), 7),
-        (lambda: exact_gamma(4, 5), 7),
+        (lambda: exact_gamma(4, 5), 11),
+        (lambda: exact_gamma(6, 3), 11),
     )
     for search, tables in searches:
         counted.clear()
