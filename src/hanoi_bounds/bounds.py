@@ -25,6 +25,7 @@ __all__ = [
     "chen_shen_bound",
     "dp_lower_bound",
     "dp_lower_bounds",
+    "gamma_above_proven_upper",
     "gamma_formula",
     "main2_bound",
 ]
@@ -73,6 +74,13 @@ def gamma_formula(p: int, n: int) -> tuple[int, Literal["exact", "conjectured"]]
     if remainder:
         raise AssertionError(f"Phi({p}, {n}) - {2 * (p - 2) + 1} is not divisible by 4")
     return p - 1 + quotient, status
+
+
+def gamma_above_proven_upper(p: int, n: int, value: int) -> bool:
+    """Whether ``value`` as Gamma(p, n) contradicts a theorem by exceeding
+    ``gamma_formula``, which from n = p - 1 on is a proven upper bound for
+    every p: the one test of a searched value against it."""
+    return n >= p - 1 and value > gamma_formula(p, n)[0]
 
 
 def gamma3_formula(n: int) -> int:

@@ -83,7 +83,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
         if measured < floor:
             print(f"mismatch: exact search is below the proven lower bound {floor}", file=sys.stderr)
             return EXIT_VERIFY_FAILED
-        if n >= p - 1 and measured > formula:
+        if bounds_mod.gamma_above_proven_upper(p, n, measured):
             print(f"mismatch: exact search is above the proven upper bound {formula}", file=sys.stderr)
             return EXIT_VERIFY_FAILED
         print("finding: conjectured value differs from the search result")

@@ -3,12 +3,13 @@
 Configurations are ranked as integers (rank = sum of peg * p**disk) and
 searched with level-synchronous breadth-first sweeps over numpy arrays:
 frontiers are flat arrays of ranks (or of ``exact_gamma``'s keys), and
-each sweep's seen table is a bool table indexed by them, zero-filled
-lazily, so that only the pages of the entries a sweep marks become
-resident (in 2 MiB units where numpy advises
-transparent huge pages).  Results are deterministic functions
-of the inputs regardless of expansion order, because each sweep finishes
-a whole level before testing for termination.
+each sweep's seen table is a bool table indexed by them
+(``_seen_table``).  From 4 MiB on, it is a private anonymous map in
+4 KiB pages, so only the pages holding entries a sweep marks become
+resident, not a whole 2 MiB huge page around each, and a page it only
+reads stays the kernel's shared zero page.  Results are deterministic
+functions of the inputs regardless of expansion order, because each
+sweep finishes a whole level before testing for termination.
 
 Both searches take their moves from one rule: each unordered peg pair
 {x, y} has exactly one move, the smaller of its two top disks onto the
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
 
 import numpy as np
@@ -128,29 +130,57 @@ def _check_limits(p: int, n: int) -> None:
         raise ValueError(f"disk count must be in [0, {MAX_DISKS}], got {n}")
 
 
-# Where a cgroup's memory limit can be read: v2 first, then v1.
-_CGROUP_LIMIT_FILES = (
-    "/sys/fs/cgroup/memory.max",
-    "/sys/fs/cgroup/memory/memory.limit_in_bytes",
-)
+# This process's cgroups, one "id:controllers:path" line each, and the
+# mount root of the cgroup file systems: v2 at the root, v1's memory
+# controller under memory/
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _read_small(path: str) -> bytes:
+    """The bytes of a small file, empty where it is unreadable.  Through
+    os.open: a third of the cost of open() on each search's few reads."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return b""
+    try:
+        return os.read(fd, 1 << 16)
+    except OSError:
+        return b""
+    finally:
+        os.close(fd)
 
 
 def _cgroup_limit() -> int | None:
-    """This process's cgroup memory limit in bytes, or None where no limit
-    file is readable or the limit is "max"."""
-    for path in _CGROUP_LIMIT_FILES:
-        try:
-            with open(path, encoding="ascii") as handle:
-                raw = handle.read().strip()
-        except OSError:
-            continue
-        if raw == "max":
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            continue
-    return None
+    """The lowest memory limit in bytes of this process's cgroups and
+    their ancestors up to the mount root, or None where none is set.
+
+    ``_PROC_CGROUP`` names the v2 cgroup on its ``0::`` line and the v1
+    memory cgroup on the line whose controllers include memory; each is
+    read from its directory up to the root (memory.max for v2,
+    memory/.../memory.limit_in_bytes for v1), since a limit on an
+    ancestor bounds every cgroup below it.  Where ``_PROC_CGROUP`` is
+    unreadable, or names neither, the root files are read alone."""
+    chains = {"": "/", "memory": "/"}  # controller directory -> cgroup path
+    try:
+        for line in _read_small(_PROC_CGROUP).decode().splitlines():
+            hierarchy, controllers, path = line.split(":", 2)
+            if hierarchy == "0" and not controllers:
+                chains[""] = path
+            elif "memory" in controllers.split(","):
+                chains["memory"] = path
+    except ValueError:  # a malformed line; UnicodeDecodeError is a ValueError
+        pass
+    limits = []
+    for controller, name in (("", "memory.max"), ("memory", "memory.limit_in_bytes")):
+        parts = [part for part in chains[controller].split("/") if part]
+        for depth in range(len(parts), -1, -1):
+            try:  # "max", or an empty read of a missing file, sets no limit
+                limits.append(int(_read_small(os.path.join(_CGROUP_ROOT, controller, *parts[:depth], name))))
+            except ValueError:
+                pass
+    return min(limits, default=None)
 
 
 def _check_memory(nbytes: int, what: str) -> None:
@@ -170,6 +200,38 @@ def _check_memory(nbytes: int, what: str) -> None:
             f"{what} needs {nbytes} bytes of tables, more than the {min(limits)} bytes "
             "allowed (the lower of physical memory and the cgroup memory limit)"
         )
+
+
+# numpy advises transparent huge pages (MADV_HUGEPAGE) for arrays of this
+# many bytes and up
+_HUGE_PAGE_BYTES = 1 << 22
+
+
+def _seen_table(size: int) -> np.ndarray:
+    """A zeroed, writable bool seen table of ``size`` entries.
+
+    A sweep often marks entries far apart and leaves most of its table
+    untouched.  Below 4 MiB the table is ``np.zeros``, from the heap: a
+    new map for each of the many small searches' tables costs them more
+    time than it saves memory.  From 4 MiB, where numpy would advise
+    transparent huge pages, so that the first touch in each 2 MiB makes
+    all of it resident, it is an anonymous map advised MADV_NOHUGEPAGE
+    (where ``mmap`` has it), which the kernel zero-fills 4 KiB at a time
+    on first write.  The map is private where ``mmap`` can ask for one: a
+    read of an unwritten page then maps the shared zero page, where a
+    shared map would make that page resident too."""
+    if size < _HUGE_PAGE_BYTES:
+        return np.zeros(size, dtype=bool)
+    if hasattr(mmap, "MAP_PRIVATE"):
+        region = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    else:
+        region = mmap.mmap(-1, size)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        try:
+            region.madvise(mmap.MADV_NOHUGEPAGE)
+        except OSError:  # EINVAL from a kernel without transparent huge pages
+            pass
+    return np.frombuffer(region, dtype=bool)
 
 
 def _disk_moves(p: int, disk: int) -> tuple[np.ndarray, np.ndarray]:
@@ -455,7 +517,7 @@ def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
     _check_memory(len(ends) * size + half_bytes + class_bytes, "distance search")
     (low,), (high,) = _move_tables(p, 0, half, False), _move_tables(p, half, n, False)
     classes = _class_tables(empty, p, n) if len(empty) >= 2 else None
-    seens = [np.zeros(size, dtype=bool) for _ in ends]
+    seens = [_seen_table(size) for _ in ends]
     frontiers = [np.array([end.rank()], dtype=np.int64) for end in ends]
     for seen, frontier in zip(seens, frontiers):
         seen[frontier] = True
@@ -628,7 +690,7 @@ def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
         starts, _move_tables(p, 0, half), _move_tables(p, half, n), _class_tables(list(range(p)), p, n)
     )
     del starts
-    seen = np.zeros(states, dtype=bool)
+    seen = _seen_table(states)
     seen[:count] = True
     frontier = np.arange(count, dtype=np.int64)
     full = ((1 << n) - 1) * count

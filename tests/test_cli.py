@@ -178,9 +178,10 @@ def test_gamma_exact_contradicting_a_theorem_exits_1(capsys, cache_dir):
 
 
 def test_gamma_exact_beyond_physical_memory_exit_code(capsys, cache_dir):
-    # a cap of 2**62 allows the 86 GB seen table; the byte count refuses it
+    # a cap of 2**62 allows the seen table of 833,638,196,455,669,760 bytes
+    # at (5, 20), more than any host's memory; the byte count refuses it
     code, _, err = run(
-        capsys, "gamma", "--pegs", "5", "--disks", "13", "--exact", "--no-cache",
+        capsys, "gamma", "--pegs", "5", "--disks", "20", "--exact", "--no-cache",
         "--product-cap", str(2**62),
     )
     assert code == 3
@@ -478,6 +479,23 @@ def test_verify_conjecture5_suite(capsys, cache_dir):
     code, out, _ = run(capsys, "verify", "--suite", "conjecture5", "--max-disks", "3")
     assert code == 0
     assert "fail=0" in out
+
+
+def test_verify_conjecture5_fails_above_the_proven_upper_bound(capsys, cache_dir, monkeypatch):
+    # from N = p - 1 = 4 the formula is a proven upper bound: a search one
+    # above it, as a faulty engine's would be, contradicts a theorem
+    from hanoi_bounds import bounds, state_space
+
+    search = state_space.exact_gamma
+
+    def faulty(p, n, cap=None):
+        return bounds.gamma_formula(p, n)[0] + 1 if n == 4 else search(p, n, cap=cap)
+
+    monkeypatch.setattr(state_space, "exact_gamma", faulty)
+    code, out, _ = run(capsys, "verify", "--suite", "conjecture5", "--max-disks", "4", "--no-cache")
+    assert code == 1
+    assert "FAIL gamma(5,4) vs conjecture | search=5 conjectured=4" in out
+    assert "fail=1" in out
 
 
 def test_verify_frame_stewart_suite(capsys, cache_dir, monkeypatch):

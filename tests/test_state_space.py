@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 from collections import deque
 from itertools import combinations, permutations, product
 
@@ -788,13 +790,14 @@ def test_caps_below_one_are_usage_errors(monkeypatch):
 
 
 def test_tables_larger_than_physical_memory_are_refused():
-    # about 86 GB of (mask, class) seen table and 550 GB of distance tables:
-    # legal under the cap, refused from the byte count before anything is
-    # allocated
+    # a (mask, class) seen table of 833,638,196,455,669,760 bytes and a
+    # distance seen table of 8**20 = 2**60 bytes, both legal under the
+    # 2**62 cap and larger than any host's memory: refused from the byte
+    # count before anything is allocated
     with pytest.raises(CapExceededError, match="physical memory"):
-        exact_gamma(5, 13, cap=2**62)
+        exact_gamma(5, 20, cap=2**62)
     with pytest.raises(CapExceededError, match="physical memory"):
-        distance(Configuration.all_on(8, 13, 0), Configuration.all_on(8, 13, 7), cap=2**62)
+        distance(Configuration.all_on(8, 20, 0), Configuration.all_on(8, 20, 7), cap=2**62)
 
 
 def test_memory_check_counts_the_tables_searched_and_the_cgroup_limit(monkeypatch):
@@ -842,19 +845,10 @@ def test_memory_check_counts_every_table_a_search_builds(monkeypatch):
 
         return wrapped
 
-    class SeenTables:  # state_space's numpy, recording the bool tables it zeroes
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def zeros(self, *args, **kwargs):
-            table = np.zeros(*args, **kwargs)
-            if table.dtype == bool:
-                built.append(table)
-            return table
-
-    for name in ("_move_tables", "_mirror_tables", "_class_tables", "_canonical_starts", "_class_graph"):
+    for name in (
+        "_move_tables", "_mirror_tables", "_class_tables", "_canonical_starts", "_class_graph", "_seen_table"
+    ):
         monkeypatch.setattr(state_space, name, recording(getattr(state_space, name)))
-    monkeypatch.setattr(state_space, "np", SeenTables())
     # (search, tables built): distance builds two half step tables, with
     # one seen table and two mirror tables for exact_H's mirrored endpoints
     # and two seen tables for an unrelated pair, and three class tables
@@ -878,15 +872,102 @@ def test_memory_check_counts_every_table_a_search_builds(monkeypatch):
 
 
 def test_cgroup_limit_reader(monkeypatch, tmp_path):
-    v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
-    monkeypatch.setattr(state_space, "_CGROUP_LIMIT_FILES", (str(v2), str(v1)))
+    # the root limit files, read where /proc/self/cgroup cannot be
+    monkeypatch.setattr(state_space, "_PROC_CGROUP", str(tmp_path / "missing"))
+    monkeypatch.setattr(state_space, "_CGROUP_ROOT", str(tmp_path))
+    v2, v1 = tmp_path / "memory.max", tmp_path / "memory" / "memory.limit_in_bytes"
     assert state_space._cgroup_limit() is None  # neither file exists
+    v1.parent.mkdir()
     v1.write_text("12345\n")
     assert state_space._cgroup_limit() == 12345
     v2.write_text("max\n")
-    assert state_space._cgroup_limit() is None
+    assert state_space._cgroup_limit() == 12345
     v2.write_text("67890\n")
+    assert state_space._cgroup_limit() == 12345
+    v1.write_text("not a number\n")
     assert state_space._cgroup_limit() == 67890
+
+
+def test_cgroup_limit_is_the_lowest_from_the_process_cgroup_up(monkeypatch, tmp_path):
+    # /proc/self/cgroup names the v2 cgroup on its 0:: line and the v1
+    # memory cgroup on the line whose controllers include memory; the
+    # limit is the lowest of that cgroup and its ancestors up to the root
+    proc = tmp_path / "cgroup"
+    root = tmp_path / "fs"
+    monkeypatch.setattr(state_space, "_PROC_CGROUP", str(proc))
+    monkeypatch.setattr(state_space, "_CGROUP_ROOT", str(root))
+    proc.write_text("5:cpu,cpuacct:/other\n4:memory:/jobs/job7\n0::/user/session3\n")
+    v2 = root / "user" / "session3"
+    v1 = root / "memory" / "jobs" / "job7"
+    v2.mkdir(parents=True)
+    v1.mkdir(parents=True)
+    (root / "memory" / "memory.limit_in_bytes").write_text("9223372036854771712\n")
+    assert state_space._cgroup_limit() == 9223372036854771712  # only the root's
+    (v1 / "memory.limit_in_bytes").write_text("5000\n")
+    assert state_space._cgroup_limit() == 5000  # the process's own v1 cgroup
+    (root / "memory" / "jobs" / "memory.limit_in_bytes").write_text("3000\n")
+    assert state_space._cgroup_limit() == 3000  # a lower limit on an ancestor
+    (v2 / "memory.max").write_text("max\n")
+    (root / "user" / "memory.max").write_text("2000\n")
+    assert state_space._cgroup_limit() == 2000  # v2's ancestor, lowest of all
+    proc.write_text("0::/user/session3\n")  # a v2-only host
+    assert state_space._cgroup_limit() == 2000
+    (root / "user" / "memory.max").write_text("max\n")
+    assert state_space._cgroup_limit() == 9223372036854771712  # the v1 root file still
+    (root / "memory" / "memory.limit_in_bytes").unlink()
+    assert state_space._cgroup_limit() is None
+
+
+def test_seen_table_is_zeroed_writable_and_sized():
+    import numpy as np
+
+    threshold = state_space._HUGE_PAGE_BYTES
+    for size in (1, 1000, threshold - 1, threshold, threshold + 1, 3 * threshold + 5):
+        table = state_space._seen_table(size)
+        assert table.dtype == np.bool_
+        assert table.shape == (size,)
+        assert table.flags.writeable
+        assert not table.any()
+        table[[0, size - 1]] = True
+        assert table.sum() == min(size, 2)
+
+
+def test_seen_table_without_huge_page_advice(monkeypatch):
+    # a kernel built without transparent huge pages refuses MADV_NOHUGEPAGE
+    # with EINVAL; the table is made all the same
+    import mmap
+
+    refused = []
+
+    class Refusing(mmap.mmap):
+        def madvise(self, *args):
+            refused.append(args)
+            raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(mmap, "mmap", Refusing)
+    monkeypatch.setattr(mmap, "MADV_NOHUGEPAGE", 15, raising=False)
+    table = state_space._seen_table(state_space._HUGE_PAGE_BYTES)
+    assert refused == [(15,)]
+    assert table.size == state_space._HUGE_PAGE_BYTES and not table.any()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_large_seen_tables_hold_only_the_pages_a_sweep_marks():
+    # one entry per 2 MiB of a 64 MiB table: numpy's huge-page advice would
+    # make all 64 MiB resident, 4 KiB pages make 32 of them; reading every
+    # entry back maps the other pages to the zero page, where a shared map
+    # would make them resident
+    page = os.sysconf("SC_PAGE_SIZE")
+
+    def resident():
+        with open("/proc/self/statm", encoding="ascii") as handle:
+            return int(handle.read().split()[1]) * page
+
+    table = state_space._seen_table(1 << 26)
+    before = resident()
+    table[:: 1 << 21] = True
+    assert table.sum() == 32
+    assert resident() - before < 1 << 20
 
 
 def test_exact_gamma_monotone_in_disks():
