@@ -46,22 +46,32 @@ shrink with the number of classes.
 
 ``exact_gamma`` searches the graph of peg-relabeling classes: a state
 is a moved-disk mask and a class of configurations equal up to
-relabeling the pegs, keyed mask * K + i over the K canonical
-configurations (``_canonical_starts``).  The graph, each class's
-neighbour class and moved-disk bit per peg pair, is built once per call,
-so each class is canonicalised once, not once per visit.  A level is
-expanded pair by pair over a bool seen table of K * 2**n entries, about
-p! times fewer than configurations times masks, then sorted and
-deduplicated once, since two classes can reach one state.
+relabeling the pegs, keyed mask << s | i over the K canonical
+configurations (``_canonical_starts``), where s = (K - 1).bit_length()
+is the fewest bits that hold every class position i.  The graph is one
+int64 table built once per call, so each class is canonicalised once,
+not once per visit: per class and peg pair, bit << s | j, where j is the
+neighbour class's position and bit the moved disk's bit.  Since bit << s
+has no bits below s and j < 2**s, a key's successor (mask | bit) << s |
+j is (mask << s) | that entry: a level splits its keys into i and
+mask << s once, then takes one gather and one OR per pair, with no
+division by K.  It marks each pair's keys in a bool seen table of
+2**(n + s) entries, under 2 * K * 2**n and about p! times fewer than
+configurations times masks, then sorts and deduplicates the level once,
+since two classes can reach one state.
 
 Caps bound the state counts a search may touch: configurations for
 ``distance``, (mask, class) states for ``exact_gamma``.  Exceeding a cap
 raises CapExceededError, never a silent truncation.  Defaults can be
 overridden per call or through HANOI_STATE_CAP / HANOI_PRODUCT_CAP; no
 cap exceeds 2**62, so ranks and keys stay inside int64 (``exact_gamma``
-argues why for its ranks).  A search whose tables would exceed
-the machine's physical memory or its cgroup's memory limit raises
-CapExceededError as well, before it allocates them.  Searches also
+argues why for its keys, n + s <= 62, and its ranks).  A cap counts
+states, not bytes: ``exact_gamma``'s K * 2**n states take a table of
+2**(n + s) bytes, and it is the bytes of every table that
+``_check_memory`` weighs.  A search whose tables would exceed
+the machine's physical memory or its cgroup's memory limit, both read
+once per process, raises CapExceededError as well, before it allocates
+them.  Searches also
 refuse more than MAX_PEGS pegs or MAX_DISKS disks with ValueError; those
 limits belong to the search alone, not to configurations or paths.
 """
@@ -183,10 +193,12 @@ def _cgroup_limit() -> int | None:
     return min(limits, default=None)
 
 
-def _check_memory(nbytes: int, what: str) -> None:
-    """Refuse, before allocating, a search whose tables alone exceed the
-    lower of the machine's physical memory and the cgroup memory limit; a
-    legal cap can still ask for more."""
+@functools.cache
+def _memory_limit() -> int | None:
+    """The lower of the machine's physical memory and the cgroup memory
+    limit (``_cgroup_limit``) in bytes, or None where neither is known.
+    Read once per process: the cgroup files cost a small search about 5%
+    of its time when read on every call."""
     limits = []
     try:
         limits.append(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
@@ -195,9 +207,17 @@ def _check_memory(nbytes: int, what: str) -> None:
     cgroup = _cgroup_limit()
     if cgroup is not None:
         limits.append(cgroup)
-    if limits and nbytes > min(limits):
+    return min(limits, default=None)
+
+
+def _check_memory(nbytes: int, what: str) -> None:
+    """Refuse, before allocating, a search whose tables alone exceed the
+    lower of the machine's physical memory and the cgroup memory limit; a
+    legal cap can still ask for more."""
+    limit = _memory_limit()
+    if limit is not None and nbytes > limit:
         raise CapExceededError(
-            f"{what} needs {nbytes} bytes of tables, more than the {min(limits)} bytes "
+            f"{what} needs {nbytes} bytes of tables, more than the {limit} bytes "
             "allowed (the lower of physical memory and the cgroup memory limit)"
         )
 
@@ -587,17 +607,17 @@ def _class_count(p: int, n: int) -> int:
     return sum(counts)
 
 
-def _class_graph(
-    starts: np.ndarray, low: tuple, high: tuple, classes: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """The class graph as int64 (nbrs, bits) of shape (pairs, K): for the
-    class whose canonical rank is starts[i] (``_canonical_starts``), row k
-    holds the position in ``starts`` of its neighbour's class through peg
-    pair k and the bit of the disk that moves, 0 (and the class itself)
-    where the pair moves nothing.  Each pair's move is read through the
-    half move tables ``low`` and ``high`` as ``_expand`` reads it, its
-    target canonicalised through ``classes`` (``_class_tables`` over every
-    peg) and located by one ``np.searchsorted`` over the sorted starts."""
+def _class_graph(starts: np.ndarray, low: tuple, high: tuple, classes: tuple, shift: int) -> np.ndarray:
+    """The class graph as one int64 table ``edges`` of shape (pairs, K):
+    for the class whose canonical rank is starts[i]
+    (``_canonical_starts``), edges[k][i] is bit << shift | j, where j is
+    the position in ``starts`` of its neighbour's class through peg pair
+    k and bit the moved disk's bit, 0 (and j = i) where the pair moves
+    nothing; 2**shift must exceed every j.  Each pair's move is read
+    through the half move tables ``low`` and ``high`` as ``_expand`` reads
+    it, its target canonicalised through ``classes`` (``_class_tables``
+    over every peg) and located by one ``np.searchsorted`` over the sorted
+    starts."""
     (low_bits, low_steps), (high_bits, high_steps) = low, high
     high_ranks, low_ranks = np.divmod(starts, low_steps.shape[1])
     own = low_steps[:, low_ranks] != 0  # the low half moves a disk
@@ -605,30 +625,30 @@ def _class_graph(
     steps = np.where(own, low_steps[:, low_ranks], high_steps[:, high_ranks])
     del own
     steps += starts
-    return np.searchsorted(starts, _canonical(steps.ravel(), classes)).reshape(steps.shape), bits
+    edges = np.searchsorted(starts, _canonical(steps.ravel(), classes)).reshape(steps.shape)
+    bits <<= shift
+    edges |= bits
+    return edges
 
 
-def _expand_classes(
-    frontier: np.ndarray, seen: np.ndarray, nbrs: np.ndarray, bits: np.ndarray, count: int
-) -> np.ndarray:
+def _expand_classes(frontier: np.ndarray, seen: np.ndarray, edges: np.ndarray, shift: int) -> np.ndarray:
     """The (mask, class) keys one move from ``frontier`` that ``seen`` has
-    not seen, each once and sorted, marked in ``seen``.  A key is mask *
-    count + i, and pair k leads it to (bits[k][i] | mask) * count +
-    nbrs[k][i]; self-loops land on the frontier, which is seen.  Two
-    classes can reach one key through one pair, so after each pair's
+    not seen, each once and sorted, marked in ``seen``.  A key is mask <<
+    shift | i, and pair k leads it to (mask << shift) | edges[k][i]
+    (``_class_graph``); self-loops land on the frontier, which is seen.
+    Two classes can reach one key through one pair, so after each pair's
     unseen keys are marked, the level is sorted and each run of equal keys
     kept once (``_sorted_once``)."""
-    mask, index = np.divmod(frontier, count)
+    index = frontier & ((1 << shift) - 1)
+    high = frontier ^ index  # mask << shift
     parts = []
-    for nbr_row, bit_row in zip(nbrs, bits):
-        keys = bit_row.take(index)
-        keys |= mask
-        keys *= count
-        keys += nbr_row.take(index)
+    for row in edges:
+        keys = row.take(index)
+        keys |= high
         keys = keys[~seen[keys]]
         seen[keys] = True
         parts.append(keys)
-    del mask, index  # before the concatenation copies the new level
+    del index, high  # before the concatenation copies the new level
     return _sorted_once(np.concatenate(parts))
 
 
@@ -638,12 +658,13 @@ def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
 
     Breadth-first search over the class graph (``_class_graph``): a state
     is a moved-disk mask and a class of configurations equal up to
-    relabeling the pegs, keyed mask * K + i, where i is the position of
-    the class's canonical configuration in ``_canonical_starts`` and K
-    (``_class_count``) the number of classes.  Level 0 is every class at
-    mask 0; each edge sets the moved disk's bit; the answer is the first
-    level holding a full mask, whose last key, the level being sorted, is
-    then at least (2**n - 1) * K.  It is exact:
+    relabeling the pegs, keyed mask << s | i, where i is the position of
+    the class's canonical configuration in ``_canonical_starts``, K
+    (``_class_count``) the number of classes and s = (K - 1).bit_length()
+    the fewest bits that hold every i (0 when K = 1).  Level 0 is every
+    class at mask 0; each edge sets the moved disk's bit; the answer is
+    the first level holding a full mask, whose last key, the level being
+    sorted, is then at least (2**n - 1) << s.  It is exact:
 
     - A relabeling pi of the pegs maps legal moves to legal moves of the
       same disk, since a move's legality depends only on which disks
@@ -659,13 +680,22 @@ def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
     - Masks only grow along edges, so the search is level-exact, and
       mask 0 occurs only at depth 0.
 
-    The seen table has K * 2**n entries, about p! times fewer than
-    configurations times masks, and each class is canonicalised once per
-    call, when the graph is built.  ``cap`` (else HANOI_PRODUCT_CAP)
-    bounds K * 2**n, computed before anything is allocated.  Keys stay
-    below K * 2**n <= 2**62, and ranks inside int64 too: a class has at
-    most p! members, so p**n <= p! * K, below K * 2**n where n >= 16 since
-    p! <= 8! < 2**16, and p**n <= 8**15 = 2**45 where n <= 15.
+    The graph holds bit << s | j per class and pair, j the neighbour's
+    position, so a key's successor is (mask | bit) << s | j = (mask << s)
+    | edges[k][i]: bit << s has no bits below s, and j < 2**s.  A level is
+    then a gather and an OR per pair, with no division by K.  The seen
+    table has 2**(n + s) entries, under 2 * K * 2**n, about p! times fewer
+    than configurations times masks; the last 2**s - K entries of each
+    mask's row are never written.  Each class is canonicalised once per
+    call, when the graph is built.
+
+    ``cap`` (else HANOI_PRODUCT_CAP) bounds the K * 2**n (mask, class)
+    states, computed before anything is allocated; ``_check_memory``
+    weighs the table's 2**(n + s) bytes.  Keys stay inside int64: K *
+    2**n <= 2**62 and 2**(s - 1) < K give 2**(n + s - 1) < 2**62, so n + s
+    <= 62.  Ranks do too: a class has at most p! members, so p**n <= p! *
+    K, below K * 2**n where n >= 16 since p! <= 8! < 2**16, and p**n <=
+    8**15 = 2**45 where n <= 15.
     """
     _check_limits(p, n)
     if n == 0:
@@ -677,26 +707,32 @@ def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
         raise CapExceededError(
             f"essential-path search over {states} (mask, class) states exceeds the cap {cap_value}"
         )
+    shift = (count - 1).bit_length()
+    size = 1 << (n + shift)
     half = n // 2
     pairs = p * (p - 1) // 2
-    # bool seen table; int64 class graph (two rows per pair) and starts;
+    # bool seen table; int64 class graph (one row per pair) and starts;
     # int64 half tables (bits and steps per pair); int64 class tables
-    graph_bytes = 8 * (2 * pairs + 1) * count
+    graph_bytes = 8 * (pairs + 1) * count
     half_bytes = 8 * 2 * pairs * (p**half + p ** (n - half))
     class_bytes = 8 * _class_split(p, p, n)[0]
-    _check_memory(states + graph_bytes + half_bytes + class_bytes, "essential-path search")
+    _check_memory(size + graph_bytes + half_bytes + class_bytes, "essential-path search")
     starts = _canonical_starts(p, n)
-    nbrs, bits = _class_graph(
-        starts, _move_tables(p, 0, half), _move_tables(p, half, n), _class_tables(list(range(p)), p, n)
+    edges = _class_graph(
+        starts,
+        _move_tables(p, 0, half),
+        _move_tables(p, half, n),
+        _class_tables(list(range(p)), p, n),
+        shift,
     )
     del starts
-    seen = _seen_table(states)
+    seen = _seen_table(size)
     seen[:count] = True
     frontier = np.arange(count, dtype=np.int64)
-    full = ((1 << n) - 1) * count
+    full = ((1 << n) - 1) << shift
     depth = 0
     while frontier.size:
-        frontier = _expand_classes(frontier, seen, nbrs, bits, count)
+        frontier = _expand_classes(frontier, seen, edges, shift)
         depth += 1
         if frontier.size and frontier[-1] >= full:
             return depth

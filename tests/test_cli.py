@@ -178,8 +178,9 @@ def test_gamma_exact_contradicting_a_theorem_exits_1(capsys, cache_dir):
 
 
 def test_gamma_exact_beyond_physical_memory_exit_code(capsys, cache_dir):
-    # a cap of 2**62 allows the seen table of 833,638,196,455,669,760 bytes
-    # at (5, 20), more than any host's memory; the byte count refuses it
+    # a cap of 2**62 allows the 833,638,196,455,669,760 (mask, class) states
+    # of (5, 20), whose seen table takes 2**60 bytes, more than any host's
+    # memory; the byte count refuses it
     code, _, err = run(
         capsys, "gamma", "--pegs", "5", "--disks", "20", "--exact", "--no-cache",
         "--product-cap", str(2**62),

@@ -475,7 +475,7 @@ def test_pair_moves_undo_themselves():
 
 
 def class_graph(p, n):
-    """exact_gamma's canonical starts and class graph (nbrs, bits)."""
+    """exact_gamma's canonical starts, class graph and key shift s."""
     from hanoi_bounds.state_space import (
         _canonical_starts,
         _class_graph,
@@ -485,7 +485,8 @@ def class_graph(p, n):
 
     starts = _canonical_starts(p, n)
     halves = _move_tables(p, 0, n // 2), _move_tables(p, n // 2, n)
-    return (starts, *_class_graph(starts, *halves, _class_tables(list(range(p)), p, n)))
+    shift = (starts.size - 1).bit_length()
+    return starts, _class_graph(starts, *halves, _class_tables(list(range(p)), p, n), shift), shift
 
 
 def class_index(p, starts):
@@ -496,17 +497,19 @@ def class_index(p, starts):
 
 def test_adjacency_rows_match_legal_moves():
     # exact_gamma's class graph: row k of class i is peg pair k's move from
-    # the class's canonical configuration, its target's class and the
-    # moved disk's bit, or the class itself and 0 where the pair moves
-    # nothing
+    # the class's canonical configuration, bit << s | j for its target's
+    # class j and the moved disk's bit, or the class itself and 0 where the
+    # pair moves nothing
     import numpy as np
 
     cases = [(p, n) for p in range(3, 7) for n in range(6)] + [(8, n) for n in range(4)]
     for p, n in cases:
-        starts, nbrs, bits = class_graph(p, n)
+        starts, edges, s = class_graph(p, n)
         pairs = list(combinations(range(p), 2))
-        assert nbrs.shape == bits.shape == (len(pairs), starts.size)
-        assert nbrs.dtype == bits.dtype == np.int64
+        assert edges.shape == (len(pairs), starts.size)
+        assert edges.dtype == np.int64
+        assert 2**s >= starts.size and (s == 0 or 2 ** (s - 1) < starts.size)
+        nbrs, bits = edges & (2**s - 1), edges >> s
         index = class_index(p, starts)
         for i, rank in enumerate(starts.tolist()):
             c = Configuration.from_rank(p, n, rank)
@@ -571,22 +574,21 @@ def test_one_level_emits_every_unseen_neighbour_once():
             assert fresh.tolist() == sorted(expected), (p, n, empty)
             assert set(np.flatnonzero(table).tolist()) == seen | expected
         # exact_gamma: random (mask, class) frontiers and seen sets; keys are
-        # mask * K + the class's position among the canonical starts
-        starts, nbrs, bits = class_graph(p, n)
-        count = starts.size
-        keys = count << n
-        frontier = rng.sample(range(keys), rng.randint(1, keys))
-        seen = set(frontier) | set(rng.sample(range(keys), rng.randint(0, keys)))
-        table = np.zeros(keys, dtype=bool)
+        # mask << s | the class's position among the canonical starts
+        starts, edges, s = class_graph(p, n)
+        keys = [mask << s | i for mask in range(1 << n) for i in range(starts.size)]
+        frontier = rng.sample(keys, rng.randint(1, len(keys)))
+        seen = set(frontier) | set(rng.sample(keys, rng.randint(0, len(keys))))
+        table = np.zeros(1 << (n + s), dtype=bool)
         table[sorted(seen)] = True
-        fresh = _expand_classes(np.array(frontier, dtype=np.int64), table, nbrs, bits, count)
+        fresh = _expand_classes(np.array(frontier, dtype=np.int64), table, edges, s)
         index = class_index(p, starts)
         expected = set()
         for key in frontier:
-            mask, i = divmod(key, count)
+            mask, i = key >> s, key & (2**s - 1)
             c = Configuration.from_rank(p, n, int(starts[i]))
             for m in legal_moves(c):
-                expected.add((mask | 1 << m.disk) * count + index(apply_move(c, m)))
+                expected.add((mask | 1 << m.disk) << s | index(apply_move(c, m)))
         expected -= seen
         assert fresh.tolist() == sorted(expected), (p, n)
         assert set(np.flatnonzero(table).tolist()) == seen | expected
@@ -776,6 +778,25 @@ def test_caps_above_two_to_the_62_are_clamped():
         exact_gamma(8, 20, cap=2**90)
 
 
+def test_gamma_keys_fit_int64_under_every_cap():
+    # exact_gamma keys mask << s | i with s = (K - 1).bit_length(): every
+    # search a cap of 2**62 allows has keys below 2**(n + s) <= 2**62
+    for p in range(3, 9):
+        for n in range(31):
+            count = state_space._class_count(p, n)
+            if count << n <= 2**62:
+                assert n + (count - 1).bit_length() <= 62, (p, n)
+
+
+@pytest.mark.parametrize("p", range(3, 9))
+def test_exact_gamma_with_one_or_two_classes(p):
+    # K = 1 (s = 0, keys are bare masks) at n <= 1 and K = 2 (s = 1) at
+    # n = 2: moving each disk once is a shortest essential path
+    for n in range(3):
+        assert state_space._class_count(p, n) == max(1, n)
+        assert exact_gamma(p, n) == n
+
+
 def test_caps_below_one_are_usage_errors(monkeypatch):
     # as HANOI_STATE_CAP=0 is; before any search, not a cap exceeded
     u, v = Configuration.all_on(3, 2, 0), Configuration(3, (1, 2))
@@ -790,17 +811,27 @@ def test_caps_below_one_are_usage_errors(monkeypatch):
 
 
 def test_tables_larger_than_physical_memory_are_refused():
-    # a (mask, class) seen table of 833,638,196,455,669,760 bytes and a
-    # distance seen table of 8**20 = 2**60 bytes, both legal under the
-    # 2**62 cap and larger than any host's memory: refused from the byte
-    # count before anything is allocated
+    # a (mask, class) seen table of 2**60 bytes (K = 795,019,337,135 classes,
+    # so s = 40, times 2**20 masks) and a distance seen table of 8**20 =
+    # 2**60 bytes, both legal under the 2**62 cap and larger than any
+    # host's memory: refused from the byte count before anything is
+    # allocated
     with pytest.raises(CapExceededError, match="physical memory"):
         exact_gamma(5, 20, cap=2**62)
     with pytest.raises(CapExceededError, match="physical memory"):
         distance(Configuration.all_on(8, 20, 0), Configuration.all_on(8, 20, 7), cap=2**62)
 
 
-def test_memory_check_counts_the_tables_searched_and_the_cgroup_limit(monkeypatch):
+@pytest.fixture
+def fresh_memory_limit():
+    # the limit is read once per process: a test that patches its reader
+    # reads it anew, and leaves no patched value behind
+    state_space._memory_limit.cache_clear()
+    yield
+    state_space._memory_limit.cache_clear()
+
+
+def test_memory_check_counts_the_tables_searched_and_the_cgroup_limit(monkeypatch, fresh_memory_limit):
     # one bool table of 4**8 states fits under the limit, two do not: the
     # mirrored endpoints of exact_H search one table, an unrelated pair two
     monkeypatch.setattr(state_space, "_cgroup_limit", lambda: 2 * 4**8)
@@ -808,8 +839,18 @@ def test_memory_check_counts_the_tables_searched_and_the_cgroup_limit(monkeypatc
     with pytest.raises(CapExceededError, match="cgroup memory limit"):
         distance(Configuration.all_on(4, 8, 0), Configuration(4, (1,) + (2,) * 7))
     monkeypatch.setattr(state_space, "_cgroup_limit", lambda: 4**8)
+    state_space._memory_limit.cache_clear()
     with pytest.raises(CapExceededError, match="cgroup memory limit"):
         exact_H(4, 8)
+
+
+def test_memory_limit_is_read_once_per_process(monkeypatch, fresh_memory_limit):
+    reads = []
+    monkeypatch.setattr(state_space, "_cgroup_limit", lambda: reads.append(1) or 1 << 40)
+    for n in range(1, 5):
+        exact_H(4, n)
+        exact_gamma(4, n)
+    assert len(reads) == 1
 
 
 def test_memory_check_counts_every_table_a_search_builds(monkeypatch):
@@ -854,14 +895,14 @@ def test_memory_check_counts_every_table_a_search_builds(monkeypatch):
     # and two seen tables for an unrelated pair, and three class tables
     # where at least two pegs are empty at both ends (not at one); exact_gamma
     # builds four half tables (bits and steps per half), three class tables
-    # over every peg, the canonical starts, the two rows of the class graph
-    # and one seen table
+    # over every peg, the canonical starts, the one table of the class graph
+    # and one seen table of 2**(n + s) entries
     searches = (
         (lambda: exact_H(5, 7), 8),
         (lambda: distance(Configuration.all_on(4, 7, 0), Configuration(4, (1,) + (2,) * 6)), 4),
         (lambda: distance(Configuration.all_on(5, 7, 0), Configuration(5, (1,) + (0,) * 6)), 7),
-        (lambda: exact_gamma(4, 5), 11),
-        (lambda: exact_gamma(6, 3), 11),
+        (lambda: exact_gamma(4, 5), 10),
+        (lambda: exact_gamma(6, 3), 10),
     )
     for search, tables in searches:
         counted.clear()
