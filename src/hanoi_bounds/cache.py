@@ -24,7 +24,7 @@ except ImportError:  # no advisory file locks on this platform
 
 __all__ = ["ENGINE_VERSION", "ResultCache", "default_cache_dir"]
 
-ENGINE_VERSION = 14
+ENGINE_VERSION = 15
 
 
 def default_cache_dir() -> Path:

@@ -14,19 +14,20 @@ sweep finishes a whole level before testing for termination.
 Both searches take their moves from one rule: each unordered peg pair
 {x, y} has exactly one move, the smaller of its two top disks onto the
 other peg, and none (a self-loop) when both pegs are empty.  Every table
-is one fold over the disks.  ``_disk_moves`` tabulates each pair's move
-of one disk over its p placements, and ``_join`` joins the tables of a
-block of smaller disks and a block of larger ones; the rule, and why a
-pair's move undoes itself, are argued once, in its docstring.
-``_move_tables`` folds ``_join`` over a block of disks.  A search reads a
-rank through the tables of its two halves, the n // 2 smallest disks and
-the rest (p**(n // 2) and p**(n - n // 2) columns), built once per call:
-``distance`` builds only their steps, and ``exact_gamma`` reads steps and
-bits once per class.  ``_mirror_tables`` folds a peg relabeling over the
-disks the same way, as an outer sum.  ``_class_tables`` canonicalises a
-rank under the relabelings of a group of pegs, once for both searches:
-the pegs empty at both ends of ``distance``, every peg for
-``exact_gamma``.
+is one fold over the disks, and holds each move as its step, the change
+in rank.  ``_disk_moves`` tabulates each pair's step for one disk over
+its p placements, and ``_join`` joins the tables of a block of smaller
+disks and a block of larger ones; the rule, and why a pair's move undoes
+itself, are argued once, in its docstring.  ``_move_tables`` folds
+``_join`` over a block of disks.  A search reads a rank's steps through
+the tables of its two halves, the n // 2 smallest disks and the rest
+(p**(n // 2) and p**(n - n // 2) columns), built once per call, with one
+reader (``_pair_steps``); ``exact_gamma`` reads them once per class and
+each move's disk off its step.  ``_mirror_tables`` folds a peg
+relabeling over the disks the same way, as an outer sum.
+``_class_tables`` canonicalises a rank under the relabelings of a group
+of pegs, once for both searches: the pegs empty at both ends of
+``distance``, every peg for ``exact_gamma``.
 
 ``distance`` expands a level one peg pair at a time, dropping the
 neighbours its seen table holds (self-loops among them) and marking the
@@ -116,20 +117,19 @@ def _cap_from_env(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError as exc:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
-    if not 0 < value <= _MAX_SUPPORTED_CAP:
-        raise ValueError(f"{name} must be in (0, 2**62], got {value}")
-    return value
 
 
 def _cap(cap: int | None, env_name: str, default: int) -> int:
     """The per-call cap, else the environment's, else the default, clamped
-    to 2**62 so larger searches are refused before anything is allocated."""
+    to 2**62 so larger searches are refused before anything is allocated.
+    One below 1 is a usage error that names its source."""
+    source = "a cap" if cap is not None else env_name
     value = cap if cap is not None else _cap_from_env(env_name, default)
     if value < 1:
-        raise ValueError(f"a cap must be at least 1, got {value}")
+        raise ValueError(f"{source} must be at least 1, got {value}")
     return min(value, _MAX_SUPPORTED_CAP)
 
 
@@ -254,28 +254,24 @@ def _seen_table(size: int) -> np.ndarray:
     return np.frombuffer(region, dtype=bool)
 
 
-def _disk_moves(p: int, disk: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each peg pair's move of ``disk`` alone over its p placements, as
-    int64 (bits, steps) with one row per unordered pair {x, y}, in the
-    order (0, 1), (0, 2), ..., (p-2, p-1).  The step is (y - x) * p**disk
-    on peg x, the opposite on peg y and 0 elsewhere; the bit is 1 << disk
-    where the step is nonzero, and 0 elsewhere."""
+def _disk_moves(p: int, disk: int) -> np.ndarray:
+    """Each peg pair's step for a move of ``disk`` alone over its p
+    placements, int64 with one row per unordered pair {x, y}, in the order
+    (0, 1), (0, 2), ..., (p-2, p-1): (y - x) * p**disk on peg x, the
+    opposite on peg y and 0 elsewhere."""
     pegs = np.arange(p)
     xs, ys = np.nonzero(pegs[:, None] < pegs)  # np.triu_indices(p, 1), in a fifth of the time
     sign = (pegs == xs[:, None]).astype(np.int64) - (pegs == ys[:, None])  # 1 on x, -1 on y
-    steps = sign * ((ys - xs) * p**disk)[:, None]
-    bits = np.left_shift(steps != 0, disk, dtype=np.int64)  # int64 under any numpy promotion
-    return bits, steps
+    return sign * ((ys - xs) * p**disk)[:, None]
 
 
-def _join(low: tuple, high: tuple) -> tuple[np.ndarray, ...]:
-    """The move table of two blocks of disks together, from the tables of
+def _join(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The step table of two blocks of disks together, from the tables of
     each, where every disk of ``low`` is smaller than every disk of
-    ``high`` and disks keep their numbers in the whole rank.  A table is
-    (bits, steps) or (steps,): its last array holds the steps.  Column
+    ``high`` and disks keep their numbers in the whole rank.  Column
     hi * cols(low) + lo, placing low's disks as low's column lo and high's
-    as high's column hi, takes low's entries where its step is nonzero and
-    high's entries elsewhere.
+    as high's column hi, takes low's step where it is nonzero and high's
+    elsewhere.
 
     A pair moves the smaller of its two top disks.  Where low's step is
     nonzero, a peg of the pair holds a low disk, so the pair's smaller top
@@ -288,22 +284,18 @@ def _join(low: tuple, high: tuple) -> tuple[np.ndarray, ...]:
     is an involution on ranks, and no pair maps two ranks onto one
     neighbour.
     """
-    own = (low[-1] != 0)[:, None, :]  # the low block moves a disk
-    return tuple(
-        np.where(own, lo[:, None, :], hi[:, :, None]).reshape(len(lo), -1)
-        for lo, hi in zip(low, high)
-    )
+    wide = low[:, None, :]  # low's columns against each high column
+    return np.where(wide != 0, wide, high[:, :, None]).reshape(len(low), -1)
 
 
-def _move_tables(p: int, first: int, last: int, bits: bool = True) -> tuple[np.ndarray, ...]:
-    """Each peg pair's move among disks first, ..., last - 1 alone, over
-    every placement of them, as (bits, steps), or as (steps,) when
-    ``bits`` is false: ``_join`` folded over the disks from the smallest
-    up, starting from one column that moves nothing (no disks)."""
+def _move_tables(p: int, first: int, last: int) -> np.ndarray:
+    """Each peg pair's step among disks first, ..., last - 1 alone, over
+    every placement of them: ``_join`` folded over the disks from the
+    smallest up, starting from one column that moves nothing (no disks).
+    A table holds steps only; ``_class_graph`` reads each move's disk off
+    its step."""
     zero = np.zeros((p * (p - 1) // 2, 1), dtype=np.int64)
-    keep = slice(0 if bits else 1, None)
-    disks = (_disk_moves(p, disk)[keep] for disk in range(first, last))
-    return functools.reduce(_join, disks, (zero, zero)[keep])
+    return functools.reduce(_join, (_disk_moves(p, disk) for disk in range(first, last)), zero)
 
 
 def _mirror_tables(sigma: list[int], p: int, first: int, last: int) -> np.ndarray:
@@ -425,6 +417,18 @@ def _sorted_once(level: np.ndarray) -> np.ndarray:
     return level
 
 
+def _pair_steps(
+    low_row: np.ndarray, high_row: np.ndarray, low_ranks: np.ndarray, high_ranks: np.ndarray
+) -> np.ndarray:
+    """One peg pair's int64 step from each rank, read through its rows of
+    the two half step tables (``_move_tables``) at the rank's halves: the
+    low half's entry where it is nonzero, else the high half's (``_join``)."""
+    steps = low_row.take(low_ranks)
+    rest = steps == 0
+    steps[rest] = high_row.take(high_ranks[rest])
+    return steps
+
+
 def _expand(
     frontier: np.ndarray,
     halves: tuple,
@@ -435,11 +439,10 @@ def _expand(
 ) -> np.ndarray:
     """The states one move from ``frontier`` that ``seen`` has not seen,
     each once, marked in ``seen``.  ``halves`` is the frontier's (high,
-    low) split, ``np.divmod`` by p**(n // 2).  Per pair, a rank's step is
-    the low step table's entry, or the high one's where that is 0
-    (``_join``).  No pair emits a state twice, and marking a pair's states
-    before the next pair keeps them out of later pairs; self-loops land on
-    the frontier, which is seen.
+    low) split, ``np.divmod`` by p**(n // 2), through which each pair's
+    steps are read (``_pair_steps``).  No pair emits a state twice, and
+    marking a pair's states before the next pair keeps them out of later
+    pairs; self-loops land on the frontier, which is seen.
 
     With ``classes`` (``_class_tables``), ``seen`` holds canonical ranks
     only, so a neighbour it holds belongs to a class already reached and
@@ -451,9 +454,7 @@ def _expand(
     high_ranks, low_ranks = halves
     parts = []
     for low_row, high_row in zip(low, high):
-        nbrs = low_row.take(low_ranks)
-        rest = nbrs == 0
-        nbrs[rest] = high_row.take(high_ranks[rest])
+        nbrs = _pair_steps(low_row, high_row, low_ranks, high_ranks)
         nbrs += frontier
         nbrs = nbrs[~seen[nbrs]]
         if classes is not None:
@@ -535,7 +536,7 @@ def distance(u: Configuration, v: Configuration, cap: int | None = None) -> int:
     half_bytes = 8 * (p * (p - 1) // 2 + mirrored) * (split + p ** (n - half))
     class_bytes = 8 * _class_split(len(empty), p, n)[0] if len(empty) >= 2 else 0
     _check_memory(len(ends) * size + half_bytes + class_bytes, "distance search")
-    (low,), (high,) = _move_tables(p, 0, half, False), _move_tables(p, half, n, False)
+    low, high = _move_tables(p, 0, half), _move_tables(p, half, n)
     classes = _class_tables(empty, p, n) if len(empty) >= 2 else None
     seens = [_seen_table(size) for _ in ends]
     frontiers = [np.array([end.rank()], dtype=np.int64) for end in ends]
@@ -607,27 +608,35 @@ def _class_count(p: int, n: int) -> int:
     return sum(counts)
 
 
-def _class_graph(starts: np.ndarray, low: tuple, high: tuple, classes: tuple, shift: int) -> np.ndarray:
+def _class_graph(
+    p: int, n: int, starts: np.ndarray, low: np.ndarray, high: np.ndarray, classes: tuple, shift: int
+) -> np.ndarray:
     """The class graph as one int64 table ``edges`` of shape (pairs, K):
     for the class whose canonical rank is starts[i]
     (``_canonical_starts``), edges[k][i] is bit << shift | j, where j is
     the position in ``starts`` of its neighbour's class through peg pair
     k and bit the moved disk's bit, 0 (and j = i) where the pair moves
-    nothing; 2**shift must exceed every j.  Each pair's move is read
-    through the half move tables ``low`` and ``high`` as ``_expand`` reads
-    it, its target canonicalised through ``classes`` (``_class_tables``
-    over every peg) and located by one ``np.searchsorted`` over the sorted
-    starts."""
-    (low_bits, low_steps), (high_bits, high_steps) = low, high
-    high_ranks, low_ranks = np.divmod(starts, low_steps.shape[1])
-    own = low_steps[:, low_ranks] != 0  # the low half moves a disk
-    bits = np.where(own, low_bits[:, low_ranks], high_bits[:, high_ranks])
-    steps = np.where(own, low_steps[:, low_ranks], high_steps[:, high_ranks])
-    del own
-    steps += starts
-    edges = np.searchsorted(starts, _canonical(steps.ravel(), classes)).reshape(steps.shape)
-    bits <<= shift
-    edges |= bits
+    nothing; 2**shift must exceed every j.  Each pair's step is read
+    through the half step tables ``low`` and ``high`` (``_pair_steps``),
+    its target canonicalised through ``classes`` (``_class_tables`` over
+    every peg) and located by one ``np.searchsorted`` over the sorted
+    starts.
+
+    A step names its disk d: it is (y - x) * p**d with 0 < |y - x| < p,
+    so p**d <= |step| < p**(d + 1), and d + 1 of the powers p**0, ...,
+    p**(n - 1) are at most |step|, none for a self-loop's step 0.  The bit
+    is 1 << that count, halved: 1 << d, or 0 for a self-loop.  The powers
+    fit int64, since p**n does for every search a cap allows
+    (``exact_gamma``)."""
+    high_ranks, low_ranks = np.divmod(starts, p ** (n // 2))
+    powers = p ** np.arange(n, dtype=np.int64)
+    edges = np.empty((len(low), starts.size), dtype=np.int64)
+    for row, low_row, high_row in zip(edges, low, high):
+        steps = _pair_steps(low_row, high_row, low_ranks, high_ranks)
+        counts = np.searchsorted(powers, np.abs(steps), side="right")
+        steps += starts
+        row[:] = np.searchsorted(starts, _canonical(steps, classes))
+        row |= (np.left_shift(1, counts, dtype=np.int64) >> 1) << shift
     return edges
 
 
@@ -712,20 +721,15 @@ def exact_gamma(p: int, n: int, cap: int | None = None) -> int:
     half = n // 2
     pairs = p * (p - 1) // 2
     # bool seen table; int64 class graph (one row per pair) and starts;
-    # int64 half tables (bits and steps per pair); int64 class tables
+    # int64 half step tables (one row per pair); int64 class tables
     graph_bytes = 8 * (pairs + 1) * count
-    half_bytes = 8 * 2 * pairs * (p**half + p ** (n - half))
+    half_bytes = 8 * pairs * (p**half + p ** (n - half))
     class_bytes = 8 * _class_split(p, p, n)[0]
     _check_memory(size + graph_bytes + half_bytes + class_bytes, "essential-path search")
     starts = _canonical_starts(p, n)
-    edges = _class_graph(
-        starts,
-        _move_tables(p, 0, half),
-        _move_tables(p, half, n),
-        _class_tables(list(range(p)), p, n),
-        shift,
-    )
-    del starts
+    low, high = _move_tables(p, 0, half), _move_tables(p, half, n)
+    edges = _class_graph(p, n, starts, low, high, _class_tables(list(range(p)), p, n), shift)
+    del starts, low, high
     seen = _seen_table(size)
     seen[:count] = True
     frontier = np.arange(count, dtype=np.int64)

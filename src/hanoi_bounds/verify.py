@@ -277,7 +277,10 @@ def _suite_lemmas(max_disks: int | None, cache: ResultCache) -> list[Case]:
 
 
 def _suite_bounds_sandwich(max_disks: int | None, cache: ResultCache) -> list[Case]:
-    # gamma's product search for p=4 stays under the default cap through N=9
+    # gamma's grid stops at N=9 for p=4 so that (4, 10) stays the one row that
+    # checks H alone, the branch with no gamma; it no longer marks the default
+    # cap, which the class search's 43,947 classes times 2**10 masks at (4, 10)
+    # stay well under
     h_grid = {3: 9, 4: 10, 5: 5}
     gamma_grid = {3: 9, 4: 9, 5: 5}
     if max_disks is not None:

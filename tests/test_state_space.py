@@ -367,48 +367,45 @@ def test_class_search_agrees_with_pure_python_bfs(monkeypatch):
 
 
 def half_table_moves(ranks, p, n):
-    """Each pair's (bits, steps) for ``ranks``, read from the half move
-    tables as the searches read them: the low half's entry where its step
-    is nonzero, the high half's elsewhere."""
+    """Each pair's steps for ``ranks``, read from the half step tables as
+    the searches read them: the low half's entry where it is nonzero, the
+    high half's elsewhere."""
     import numpy as np
 
     from hanoi_bounds.state_space import _move_tables
 
-    low_bits, low_steps = _move_tables(p, 0, n // 2)
-    high_bits, high_steps = _move_tables(p, n // 2, n)
+    low_steps, high_steps = _move_tables(p, 0, n // 2), _move_tables(p, n // 2, n)
     high, low = np.divmod(ranks, p ** (n // 2))
-    own = low_steps[:, low] != 0
-    return (
-        np.where(own, low_bits[:, low], high_bits[:, high]),
-        np.where(own, low_steps[:, low], high_steps[:, high]),
-    )
+    return np.where(low_steps[:, low] != 0, low_steps[:, low], high_steps[:, high])
+
+
+def step_disk(step, p):
+    """The disk a nonzero step moves: the largest d with p**d <= |step|."""
+    return max(d for d in range(abs(step).bit_length()) if p**d <= abs(step))
 
 
 def test_move_tables_match_legal_moves():
     # n = 0 and 1 leave the low half empty, odd n give the high half the
-    # extra disk, and p = 8 at n = 12 puts 28 pairs over 8**6 high ranks;
-    # every sampled rank's moves must be the pure-Python rule's
+    # extra disk, and p = 8 at n = 12 puts 28 pairs over 8**6 high ranks,
+    # with steps up to 7 * 8**11; every sampled rank's moves, and the disk
+    # read off each step, must be the pure-Python rule's
     import numpy as np
 
     rng = random.Random(61)
     for p in range(3, 9):
         for n in range(13):
             ranks = np.array([rng.randrange(p**n) for _ in range(50)], dtype=np.int64)
-            bits, steps = half_table_moves(ranks, p, n)
-            assert bits.shape == steps.shape == (p * (p - 1) // 2, ranks.size)
-            assert bits.dtype == steps.dtype == np.int64
+            steps = half_table_moves(ranks, p, n)
+            assert steps.shape == (p * (p - 1) // 2, ranks.size)
+            assert steps.dtype == np.int64
             for column, rank in enumerate(ranks.tolist()):
                 c = Configuration.from_rank(p, n, rank)
                 emitted = sorted(
-                    (rank + int(step), int(bit))
-                    for bit, step in zip(bits[:, column], steps[:, column])
-                    if step
+                    (rank + int(step), step_disk(int(step), p)) for step in steps[:, column] if step
                 )
                 assert emitted == sorted(
-                    (apply_move(c, m).rank(), 1 << m.disk) for m in legal_moves(c)
+                    (apply_move(c, m).rank(), m.disk) for m in legal_moves(c)
                 ), (p, n, rank)
-            # a pair moves nothing exactly when its step and its bit are 0
-            assert np.array_equal(bits == 0, steps == 0), (p, n)
 
 
 def test_tables_over_a_block_join_its_sub_blocks():
@@ -433,8 +430,7 @@ def test_tables_over_a_block_join_its_sub_blocks():
             ]
             for k in range(n + 1):
                 joined = _join(_move_tables(p, 0, k), _move_tables(p, k, n))
-                for table, part in zip(moves, joined):
-                    assert part.dtype == table.dtype and np.array_equal(part, table), (p, n, k)
+                assert joined.dtype == moves.dtype and np.array_equal(joined, moves), (p, n, k)
                 low, high = _mirror_tables(sigma, p, 0, k), _mirror_tables(sigma, p, k, n)
                 assert np.array_equal(np.add.outer(high, low).ravel(), mirror), (p, n, k)
 
@@ -447,12 +443,13 @@ def test_vectorized_neighbors_match_legal_moves():
         p = rng.randint(3, 8)
         n = rng.randint(1, 6)
         c = random_config(rng, p, n)
-        bits, steps = half_table_moves(np.array([c.rank()], dtype=np.int64), p, n)
-        pairs = [(int(bit[0]), int(step[0])) for bit, step in zip(bits, steps)]
-        assert len(pairs) == p * (p - 1) // 2
+        steps = half_table_moves(np.array([c.rank()], dtype=np.int64), p, n)[:, 0].tolist()
+        assert len(steps) == p * (p - 1) // 2
         # a pair moves nothing exactly when both its pegs are empty
-        assert all((bit == 0) == (step == 0) for bit, step in pairs)
-        emitted = sorted((c.rank() + step, bit.bit_length() - 1) for bit, step in pairs if bit)
+        assert [step == 0 for step in steps] == [
+            not (c.disks_on(x) or c.disks_on(y)) for x, y in combinations(range(p), 2)
+        ]
+        emitted = sorted((c.rank() + step, step_disk(step, p)) for step in steps if step)
         via_moves = sorted(
             (apply_move(c, m).rank(), m.disk) for m in legal_moves(c)
         )
@@ -466,12 +463,11 @@ def test_pair_moves_undo_themselves():
     for p in range(3, 9):
         for n in range(1, 7):
             ranks = np.array([rng.randrange(p**n) for _ in range(60)], dtype=np.int64)
-            bits, steps = half_table_moves(ranks, p, n)
+            steps = half_table_moves(ranks, p, n)
             for k in range(len(steps)):
                 nbrs = ranks + steps[k]
-                back_bits, back_steps = half_table_moves(nbrs, p, n)
+                back_steps = half_table_moves(nbrs, p, n)
                 assert np.array_equal(nbrs + back_steps[k], ranks), (p, n, k)
-                assert np.array_equal(back_bits[k], bits[k]), (p, n, k)
 
 
 def class_graph(p, n):
@@ -486,7 +482,7 @@ def class_graph(p, n):
     starts = _canonical_starts(p, n)
     halves = _move_tables(p, 0, n // 2), _move_tables(p, n // 2, n)
     shift = (starts.size - 1).bit_length()
-    return starts, _class_graph(starts, *halves, _class_tables(list(range(p)), p, n), shift), shift
+    return starts, _class_graph(p, n, starts, *halves, _class_tables(list(range(p)), p, n), shift), shift
 
 
 def class_index(p, starts):
@@ -538,7 +534,7 @@ def test_one_level_emits_every_unseen_neighbour_once():
         seen = set(frontier) | set(rng.sample(range(size), rng.randint(0, size)))
         table = np.zeros(size, dtype=bool)
         table[sorted(seen)] = True
-        (low,), (high,) = _move_tables(p, 0, n // 2, False), _move_tables(p, n // 2, n, False)
+        low, high = _move_tables(p, 0, n // 2), _move_tables(p, n // 2, n)
         ranks = np.array(frontier, dtype=np.int64)
         fresh = _expand(ranks, np.divmod(ranks, p ** (n // 2)), table, low, high)
         expected = set()
@@ -778,6 +774,16 @@ def test_caps_above_two_to_the_62_are_clamped():
         exact_gamma(8, 20, cap=2**90)
 
 
+def test_environment_caps_above_two_to_the_62_are_clamped(monkeypatch):
+    # as a per-call cap is: the largest int64 allows a small search, and
+    # 2**70 still refuses one whose ranks do not fit int64
+    monkeypatch.setenv("HANOI_PRODUCT_CAP", str(2**63 - 1))
+    assert exact_gamma(3, 3) == 3
+    monkeypatch.setenv("HANOI_STATE_CAP", str(2**70))
+    with pytest.raises(CapExceededError):
+        exact_H(8, 22)
+
+
 def test_gamma_keys_fit_int64_under_every_cap():
     # exact_gamma keys mask << s | i with s = (K - 1).bit_length(): every
     # search a cap of 2**62 allows has keys below 2**(n + s) <= 2**62
@@ -894,15 +900,15 @@ def test_memory_check_counts_every_table_a_search_builds(monkeypatch):
     # one seen table and two mirror tables for exact_H's mirrored endpoints
     # and two seen tables for an unrelated pair, and three class tables
     # where at least two pegs are empty at both ends (not at one); exact_gamma
-    # builds four half tables (bits and steps per half), three class tables
+    # builds two half step tables, three class tables
     # over every peg, the canonical starts, the one table of the class graph
     # and one seen table of 2**(n + s) entries
     searches = (
         (lambda: exact_H(5, 7), 8),
         (lambda: distance(Configuration.all_on(4, 7, 0), Configuration(4, (1,) + (2,) * 6)), 4),
         (lambda: distance(Configuration.all_on(5, 7, 0), Configuration(5, (1,) + (0,) * 6)), 7),
-        (lambda: exact_gamma(4, 5), 10),
-        (lambda: exact_gamma(6, 3), 10),
+        (lambda: exact_gamma(4, 5), 8),
+        (lambda: exact_gamma(6, 3), 8),
     )
     for search, tables in searches:
         counted.clear()
